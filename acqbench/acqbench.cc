@@ -104,6 +104,12 @@ std::uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Now().time_since_epoch()).count());
 }
 
+double PeakRssMb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
+}
+
 [[noreturn]] void Die(const std::string& message) {
   std::fprintf(stderr, "acqbench: %s\n", message.c_str());
   std::exit(2);
@@ -328,6 +334,9 @@ class Bench {
     std::vector<Span> spans;
     std::uint64_t monitor_passes = 0;
     std::uint64_t monitor_ns = 0;
+    // Peak RSS up to the end of the phase, before its samples are merged
+    // and sorted: the program plus one copy of the sample buffers.
+    double peak_rss_mb = 0;
     bool hung = false;
   };
 
@@ -448,6 +457,7 @@ class Bench {
         return result;  // the caller reports and exits without joining
       }
     }
+    result.peak_rss_mb = PeakRssMb();
     for (Worker& w : workers_) {
       result.counts.cycles += w.counts.cycles;
       result.counts.attempts += w.counts.attempts;
@@ -722,7 +732,8 @@ void WriteHistoryFixture(const std::string& path, int count, std::uint32_t seed)
 
 // --- Statistics -------------------------------------------------------------------
 
-double Percentile(std::vector<std::uint32_t> v, double p) {
+// Sorts `v` in place.
+double Percentile(std::vector<std::uint32_t>& v, double p) {
   if (v.empty()) {
     return 0;
   }
@@ -782,12 +793,6 @@ Usage ProcessUsage() {
             static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
   u.ctxsw = static_cast<double>(ru.ru_nvcsw + ru.ru_nivcsw);
   return u;
-}
-
-double PeakRssMb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
 // --- Report -----------------------------------------------------------------------
@@ -1030,9 +1035,7 @@ int Main(int argc, char** argv) {
     report.Add("p50_us", Percentile(r.latency_ns, 50) / 1e3, "us");
     report.Add("p99_us", Percentile(r.latency_ns, 99) / 1e3, "us");
     report.Add("setup_s", Median(setups), "s");
-    bench.reset();
-    rt.reset();
-    report.Add("rss_mb", PeakRssMb(), "MB");
+    report.Add("rss_mb", r.peak_rss_mb, "MB");
     report.Print();
     return report.correct() ? 0 : 1;
   }
