@@ -5,7 +5,7 @@
 // One closed-loop run of the §7.2.2 synchronization loop (8 locks, δin = 1
 // µs and δout = 5 µs busy loops, random call towers of depth 10 with
 // branching 3 over 3 lock sites) against one Runtime with library defaults,
-// except that this driver runs Monitor::RunOnce() itself every τ = 100 ms
+// except that the benchmark runs Monitor::RunOnce() itself every τ = 100 ms
 // (start_monitor = false) so the monitor pass can be timed. Every acquire
 // makes the calls sync::Mutex::Lock/Unlock make, in the same order, so each
 // layer boundary can be timed from outside:
@@ -932,7 +932,7 @@ int Main(int argc, char** argv) {
   LockSet locks(shm, args.tmp + "/locks.shm");
 
   Config cfg;
-  cfg.start_monitor = false;  // this driver runs Monitor::RunOnce every τ
+  cfg.start_monitor = false;  // the benchmark runs Monitor::RunOnce every τ
   cfg.monitor_period = kTau;
   cfg.history_path = history_path;
   if (shm) {

@@ -5,13 +5,13 @@ Usage, from the root of a checkout:
 
     python3 acqbench/run.py --workload avoid_hist512 --seed 1 --seconds 10 --trace 0
 
-The driver is built against the repository's own libdimmunix into
+The benchmark binary is built against the repository's own libdimmunix into
 .bench_build/acqbench (configured once, then an incremental build before
 every run). Each run gets a fresh fixture directory under that build tree,
 deleted when the run ends. With --trace 1 the sampled per-acquire spans are
 also written to .bench_build/acqbench/spans/<workload>-seed<seed>.tsv.
 
-Everything the driver prints is passed through; its last line is the result
+Everything the binary prints is passed through; its last line is the result
 object {"correct", "attempted", "failed", "metrics"}. The exit code is
 non-zero when the build fails, the run fails or times out, or any
 correctness check fails.
@@ -33,7 +33,7 @@ RUN_TIMEOUT_S = 150
 
 
 def build(env):
-    """Configures (once) and incrementally builds the driver; logs to stderr."""
+    """Configures (once) and incrementally builds the binary; logs to stderr."""
     steps = []
     if not os.path.exists(os.path.join(BUILD, "CMakeCache.txt")):
         steps.append(["cmake", "-S", HERE, "-B", BUILD, "-DCMAKE_BUILD_TYPE=RelWithDebInfo"])
@@ -53,7 +53,7 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
-    # Compiler and driver temporaries stay inside the checkout too.
+    # Compiler and benchmark temporaries stay inside the checkout too.
     env = dict(os.environ, TMPDIR=os.path.join(BUILD, "tmp"))
     os.makedirs(env["TMPDIR"], exist_ok=True)
     if not build(env):
@@ -86,7 +86,7 @@ def main():
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        print("acqbench: the driver printed no result object", file=sys.stderr)
+        print("acqbench: the binary printed no result object", file=sys.stderr)
         return 4
     return 0 if result.get("correct") and result.get("failed") == 0 else 1
 

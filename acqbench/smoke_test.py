@@ -5,7 +5,7 @@ Run from the root of a checkout:
 
     python3 acqbench/smoke_test.py
 
-For every workload the driver knows (the two in BENCHMARK.json plus the
+For every workload acqbench knows (the two in BENCHMARK.json plus the
 ungated native_stacks), it runs a short untraced and a short traced run and
 checks that:
   - the run exits 0 and its last line is a correct result with no failures;
@@ -62,7 +62,7 @@ def main():
     expected = {0: {m["name"]: m["unit"] for m in spec["end_to_end"]},
                 1: {m["name"]: m["unit"] for m in spec["per_layer"]}}
     gated = {w["name"] for w in spec["workloads"]}
-    check(gated <= set(WORKLOADS), "BENCHMARK.json workloads are driver workloads")
+    check(gated <= set(WORKLOADS), "BENCHMARK.json workloads are acqbench workloads")
 
     for workload in WORKLOADS:
         for trace in (0, 1):
