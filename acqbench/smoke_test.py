@@ -6,8 +6,8 @@ Run from the root of a checkout:
     python3 acqbench/smoke_test.py
 
 For every workload acqbench knows (the two in BENCHMARK.json plus the
-ungated native_stacks), it runs a short untraced and a short traced run and
-checks that:
+ungated native_stacks), it runs a short untraced and a short traced run,
+prints every metric by name and unit, and checks that:
   - the run exits 0 and its last line is a correct result with no failures;
   - the metric names and units are exactly BENCHMARK.json's end_to_end
     (untraced) or per_layer (traced) lists, and every end-to-end value is
@@ -68,6 +68,9 @@ def main():
         for trace in (0, 1):
             tag = f"{workload} trace={trace}"
             proc = run(ROOT, workload, trace)
+            for line in proc.stdout.splitlines():
+                if line.startswith(("config ", "samples ", "metric ", "check ")):
+                    print(f"  {tag}: {line}")
             result = result_of(proc)
             check(proc.returncode == 0, f"{tag}: exit code 0 (got {proc.returncode})")
             if result is None:
