@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -11,6 +12,8 @@
 
 namespace dimmunix {
 namespace {
+
+constexpr std::size_t kNotCandidate = ~std::size_t{0};
 
 std::size_t StripeCountFor(const Config& config) {
   if (config.engine_stripes > 0) {
@@ -152,8 +155,47 @@ void AvoidanceEngine::EnsureMemberships(StackId stack, StackSlot* slot, const Si
   }
 }
 
+AvoidanceEngine::FastScratch& AvoidanceEngine::MatchScratch() {
+  thread_local FastScratch scratch;
+  return scratch;
+}
+
+bool AvoidanceEngine::EveryPositionLive(const SigGen::Entry& sig) {
+  if (sig.sig_stacks.empty()) {
+    return false;
+  }
+  for (std::size_t j = 0; j < sig.sig_stacks.size(); ++j) {
+    if (sig.live[j].load(std::memory_order_seq_cst) < sig.need[j]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void AvoidanceEngine::CollectCandidates(const SigGen& gen,
+                                        const std::vector<std::uint32_t>* memberships,
+                                        std::vector<std::size_t>* out) {
+  out->clear();
+  if (memberships == nullptr) {
+    for (std::size_t e = 0; e < gen.entries.size(); ++e) {
+      if (EveryPositionLive(gen.entries[e])) {
+        out->push_back(e);
+      }
+    }
+    return;
+  }
+  std::size_t last = kNotCandidate;
+  for (const std::uint32_t pack : *memberships) {
+    const std::size_t e = pack >> kPosBits;
+    if (e != last && EveryPositionLive(gen.entries[e])) {
+      out->push_back(e);
+    }
+    last = e;
+  }
+}
+
 void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
-                                     const AllowedTuple& tuple) {
+                                     const AllowedTuple& tuple, FastScratch* scratch) {
   const bool matching = config_.stage == EngineStage::kFull;
   const SigGen* gen = nullptr;
   if (matching) {
@@ -176,9 +218,24 @@ void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlo
     for (const std::uint32_t pack : slot->memberships) {
       const std::size_t e = pack >> kPosBits;
       const std::size_t j = pack & ((1u << kPosBits) - 1);
-      if (gen->entries[e].live[j].fetch_add(1, std::memory_order_seq_cst) == 0 &&
+      const SigGen::Entry& entry = gen->entries[e];
+      if (entry.live[j].fetch_add(1, std::memory_order_seq_cst) == entry.need[j] - 1 &&
           gen->dead[e].fetch_sub(1, std::memory_order_seq_cst) == 1) {
         gen->fully_live.fetch_add(1, std::memory_order_seq_cst);
+      }
+    }
+  }
+  if (scratch != nullptr) {
+    // The requester's candidates, read after its own seq_cst adds above —
+    // the same point the fully_live gate reads at, so the add-before-scan
+    // argument is unchanged. A valid instance must use the requester's new
+    // allow edge, which only its own slot's positions can hold.
+    scratch->own_cands.clear();
+    scratch->own_version = kStaleVersion;
+    if (matching) {
+      scratch->own_version = gen->version;
+      if (gen->fully_live.load(std::memory_order_seq_cst) > 0) {
+        CollectCandidates(*gen, &slot->memberships, &scratch->own_cands);
       }
     }
   }
@@ -223,7 +280,8 @@ void AvoidanceEngine::RemoveTupleLocked(SlotStripe& stripe, StackId stack, Stack
     for (const std::uint32_t pack : slot->memberships) {
       const std::size_t e = pack >> kPosBits;
       const std::size_t j = pack & ((1u << kPosBits) - 1);
-      if (gen->entries[e].live[j].fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      const SigGen::Entry& entry = gen->entries[e];
+      if (entry.live[j].fetch_sub(1, std::memory_order_seq_cst) == entry.need[j] &&
           gen->dead[e].fetch_add(1, std::memory_order_seq_cst) == 0) {
         gen->fully_live.fetch_sub(1, std::memory_order_seq_cst);
       }
@@ -231,11 +289,11 @@ void AvoidanceEngine::RemoveTupleLocked(SlotStripe& stripe, StackId stack, Stack
   }
 }
 
-void AvoidanceEngine::AddTuple(StackId stack, const AllowedTuple& tuple) {
+void AvoidanceEngine::AddTuple(StackId stack, const AllowedTuple& tuple, FastScratch* scratch) {
   StackSlot* slot = SlotFor(stack);
   SlotStripe& stripe = StripeOf(stack);
   std::lock_guard<SpinLock> guard(stripe.lock);
-  AddTupleLocked(stripe, stack, slot, tuple);
+  AddTupleLocked(stripe, stack, slot, tuple, scratch);
 }
 
 void AvoidanceEngine::RemoveTuple(StackId stack, ThreadId thread, LockId lock, bool held) {
@@ -283,6 +341,19 @@ void AvoidanceEngine::RefreshGen() {
     entry.live = std::make_unique<std::atomic<std::int64_t>[]>(sig.stacks.size());
     gen->entries.push_back(std::move(entry));
   });
+  for (SigGen::Entry& entry : gen->entries) {
+    // Matching at a depth is symmetric: each matching pair counts for both.
+    const std::size_t k = entry.sig_stacks.size();
+    entry.need.assign(k, 1);
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t i = j + 1; i < k; ++i) {
+        if (stacks_->MatchesAtDepth(entry.sig_stacks[i], entry.sig_stacks[j], entry.depth)) {
+          ++entry.need[i];
+          ++entry.need[j];
+        }
+      }
+    }
+  }
   gen->dead = std::make_unique<std::atomic<std::int32_t>[]>(gen->entries.size());
   {
     // Stop the stripes: recompute every live slot's memberships against the
@@ -307,7 +378,7 @@ void AvoidanceEngine::RefreshGen() {
       const SigGen::Entry& entry = gen->entries[e];
       std::int32_t dead = entry.sig_stacks.empty() ? 1 : 0;
       for (std::size_t j = 0; j < entry.sig_stacks.size(); ++j) {
-        if (entry.live[j].load(std::memory_order_relaxed) <= 0) {
+        if (entry.live[j].load(std::memory_order_relaxed) < entry.need[j]) {
           ++dead;
         }
       }
@@ -385,8 +456,116 @@ bool AvoidanceEngine::CoverPositions(
   return false;
 }
 
+bool AvoidanceEngine::IsUpgrade(const ThreadSlot& slot, LockId lock) {
+  for (const ThreadSlot::Held& held : slot.held) {
+    if (held.lock == lock) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool AvoidanceEngine::FillPools(const SigGen& gen, const std::vector<std::size_t>& cands,
+                                FastScratch& scratch, bool lock_stripes) {
+  auto& pools = scratch.pools;
+  if (pools.size() < cands.size()) {
+    pools.resize(cands.size());
+  }
+  auto& cand_of = scratch.cand_of;
+  if (cand_of.size() < gen.entries.size()) {
+    cand_of.resize(gen.entries.size(), kNotCandidate);
+  }
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    cand_of[cands[c]] = c;
+    const std::size_t positions = gen.entries[cands[c]].sig_stacks.size();
+    if (pools[c].size() < positions) {
+      pools[c].resize(positions);
+    }
+    for (auto& pool : pools[c]) {
+      pool.clear();  // clear, never shrink: capacity persists across requests
+    }
+  }
+  // Iterating live slots (≈ two per running thread) beats iterating
+  // candidate stacks (every interned stack matching a signature suffix).
+  const auto scan_stripe = [&](std::size_t s) {
+    for (const StackId id : slot_stripes_[s].live) {
+      StackSlot* live_slot = stack_slots_.Get(static_cast<std::size_t>(id));
+      if (live_slot->member_version != gen.version) {
+        if (lock_stripes) {
+          return false;
+        }
+        EnsureMemberships(id, live_slot, gen);
+      }
+      for (const std::uint32_t pack : live_slot->memberships) {
+        const std::size_t c = cand_of[pack >> kPosBits];
+        if (c == kNotCandidate) {
+          continue;
+        }
+        auto& pool = pools[c][pack & ((1u << kPosBits) - 1)];
+        for (const AllowedTuple& tuple : live_slot->tuples) {
+          pool.emplace_back(id, tuple);
+        }
+      }
+    }
+    return true;
+  };
+  bool current = true;
+  for (std::size_t s = 0; s <= slot_stripe_mask_ && current; ++s) {
+    std::unique_lock<SpinLock> guard(slot_stripes_[s].lock, std::defer_lock);
+    if (lock_stripes) {
+      guard.lock();
+      scratch.scan_versions[s] = slot_stripes_[s].version;
+    }
+    current = scan_stripe(s);
+  }
+  // Reset only the entries this call marked: cand_of stays all-clear
+  // between calls without an O(H) pass per request.
+  for (const std::size_t e : cands) {
+    cand_of[e] = kNotCandidate;
+  }
+  return current;
+}
+
+bool AvoidanceEngine::SearchCandidates(const SigGen& gen, const std::vector<std::size_t>& cands,
+                                       FastScratch& scratch, ThreadId thread, LockId lock,
+                                       MatchResult* result) {
+  CoverScratch& cover = scratch.cover;
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    const SigGen::Entry& sig = gen.entries[cands[c]];
+    cover.Clear();
+    if (!CoverPositions(sig, scratch.pools[c], 0, cover, thread, lock)) {
+      continue;
+    }
+    *result = MatchResult{};
+    result->signature_index = sig.index;
+    result->depth = sig.depth;
+    // Deepest depth at which this same cover still matches — used by the
+    // calibration fast-path (§5.5).
+    int deepest = stacks_->max_depth();
+    for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
+      deepest = std::min(deepest,
+                         stacks_->DeepestMatchDepth(cover.chosen_stacks[j], sig.sig_stacks[j]));
+    }
+    result->deepest = std::max(deepest, sig.depth);
+    for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
+      if (cover.chosen[j].thread == thread && cover.chosen[j].lock == lock) {
+        continue;  // the requester itself
+      }
+      result->others.push_back(YieldCause{cover.chosen[j].thread, cover.chosen[j].lock,
+                                          cover.chosen_stacks[j], cover.chosen[j].mode});
+    }
+    return true;
+  }
+  return false;
+}
+
 std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
     ThreadId thread, LockId lock, StackId stack, ThreadSlot& slot, bool yield_on_match) {
+  // The scratch's pools keep their capacity across searches, so the epoch
+  // below copies tuples without allocating once a thread has warmed up.
+  FastScratch& scratch = MatchScratch();
+  const bool upgrade = IsUpgrade(slot, lock);
+  StackSlot* own_slot = SlotFor(stack);
   SlotEpochGuard epoch(*this, thread);
   // Cover-search span: how long the matcher held everyone else out looking
   // for an instantiation. aux carries the matched signature (kNoMatchAux on
@@ -403,77 +582,30 @@ std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
   };
   // The generation cannot be republished while we hold every stripe.
   const SigGen& gen = *CurrentGen();
-  for (std::size_t e = 0; e < gen.entries.size(); ++e) {
-    const SigGen::Entry& sig = gen.entries[e];
-    if (sig.sig_stacks.empty()) {
-      continue;
-    }
-    bool possible = true;
-    for (std::size_t j = 0; j < sig.sig_stacks.size(); ++j) {
-      if (sig.live[j].load(std::memory_order_relaxed) <= 0) {
-        possible = false;
-        break;
-      }
-    }
-    if (!possible) {
-      continue;
-    }
-    // Gather the live tuples that can occupy each position. Iterating live
-    // slots (≈ two per running thread) beats iterating candidate stacks
-    // (every interned stack matching the signature suffix).
-    std::vector<std::vector<std::pair<StackId, AllowedTuple>>> pools(sig.sig_stacks.size());
-    for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
-      for (const StackId id : slot_stripes_[s].live) {
-        StackSlot* live_slot = stack_slots_.Get(static_cast<std::size_t>(id));
-        EnsureMemberships(id, live_slot, gen);
-        for (const std::uint32_t pack : live_slot->memberships) {
-          if ((pack >> kPosBits) != e) {
-            continue;
-          }
-          auto& pool = pools[pack & ((1u << kPosBits) - 1)];
-          for (const AllowedTuple& tuple : live_slot->tuples) {
-            pool.emplace_back(id, tuple);
-          }
-        }
-      }
-    }
-    CoverScratch cover;
-    if (!CoverPositions(sig, pools, 0, cover, thread, lock)) {
-      continue;
-    }
-    MatchResult result;
-    result.signature_index = sig.index;
-    result.depth = sig.depth;
-    // Deepest depth at which this same cover still matches — used by the
-    // calibration fast-path (§5.5).
-    int deepest = stacks_->max_depth();
-    for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
-      deepest = std::min(deepest,
-                         stacks_->DeepestMatchDepth(cover.chosen_stacks[j], sig.sig_stacks[j]));
-    }
-    result.deepest = std::max(deepest, sig.depth);
-    for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
-      if (cover.chosen[j].thread == thread && cover.chosen[j].lock == lock) {
-        continue;  // the requester itself
-      }
-      result.others.push_back(YieldCause{cover.chosen[j].thread, cover.chosen[j].lock,
-                                         cover.chosen_stacks[j], cover.chosen[j].mode});
-    }
-
-    // Retire the tentative allow edge (the YIELD flips it into a request
-    // edge, §5.4) and — in blocking mode — register the yield while the
-    // epoch still excludes releasers: a releaser whose tuple we matched
-    // cannot finish removing it (and thus cannot scan the yield set)
-    // before we are registered, so its wake cannot be lost.
-    RemoveTupleLocked(StripeOf(stack), stack, SlotFor(stack), thread, lock, /*held=*/false);
-    if (yield_on_match) {
-      RegisterYield(thread, slot, result);
-    }
-    record_search(result.signature_index);
-    return result;
+  auto& cands = scratch.cands;
+  if (upgrade) {
+    CollectCandidates(gen, nullptr, &cands);
+  } else {
+    EnsureMemberships(stack, own_slot, gen);
+    CollectCandidates(gen, &own_slot->memberships, &cands);
   }
-  record_search(-1);
-  return std::nullopt;
+  MatchResult result;
+  if (cands.empty() || !FillPools(gen, cands, scratch, /*lock_stripes=*/false) ||
+      !SearchCandidates(gen, cands, scratch, thread, lock, &result)) {
+    record_search(-1);
+    return std::nullopt;
+  }
+  // Retire the tentative allow edge (the YIELD flips it into a request
+  // edge, §5.4) and — in blocking mode — register the yield while the
+  // epoch still excludes releasers: a releaser whose tuple we matched
+  // cannot finish removing it (and thus cannot scan the yield set)
+  // before we are registered, so its wake cannot be lost.
+  RemoveTupleLocked(StripeOf(stack), stack, own_slot, thread, lock, /*held=*/false);
+  if (yield_on_match) {
+    RegisterYield(thread, slot, result);
+  }
+  record_search(result.signature_index);
+  return result;
 }
 
 void AvoidanceEngine::RegisterYield(ThreadId thread, ThreadSlot& slot,
@@ -527,13 +659,12 @@ bool AvoidanceEngine::CoverStillStands(const MatchResult& result,
 }
 
 AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
-    ThreadId thread, LockId lock, StackId stack, ThreadSlot& slot, bool yield_on_match,
-    const SigGen& gen, MatchResult* result) {
+    ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
+    bool yield_on_match, const SigGen& gen, MatchResult* result) {
   // Bounded validation churn: every retry means a matched tuple was retired
   // mid-decision. Persistent churn is real contention on the instantiation
   // itself, which only the epoch can arbitrate.
   constexpr int kFastMatchAttempts = 3;
-  constexpr std::size_t kNotCandidate = ~std::size_t{0};
   // O(1) trivial reject (§5.6 common case): no signature has every position
   // live, so no instantiation can exist. No counter tick and no
   // match-duration sample — the histogram stays a picture of real cover
@@ -546,7 +677,8 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
   // spent with the requester's tentative tuple live, and the window length
   // feeds quadratically into how often concurrent requesters see each other
   // as instantiation material.
-  thread_local FastScratch scratch;
+  FastScratch& scratch = MatchScratch();
+  const bool upgrade = IsUpgrade(slot, lock);
   std::uint64_t search_begin = 0;  // set lazily: trivial rejects skip the clock
   const auto record_search = [&](std::int64_t matched_signature) {
     if (search_begin != 0) {
@@ -558,35 +690,22 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     }
   };
 
-  auto& scan_versions = scratch.scan_versions;
-  scan_versions.assign(slot_stripe_mask_ + 1, 0);
+  scratch.scan_versions.assign(slot_stripe_mask_ + 1, 0);
   for (int attempt = 0; attempt < kFastMatchAttempts; ++attempt) {
     if (attempt > 0) {
       stats_.match_fast_retries.fetch_add(1, std::memory_order_relaxed);
     }
-    // Candidate signatures: every position live (§5.6 fast reject,
-    // re-evaluated per attempt — a retry means the population moved).
-    auto& cands = scratch.cands;
-    auto& cand_of = scratch.cand_of;
-    cands.clear();
-    cand_of.assign(gen.entries.size(), kNotCandidate);
-    for (std::size_t e = 0; e < gen.entries.size(); ++e) {
-      const SigGen::Entry& sig = gen.entries[e];
-      if (sig.sig_stacks.empty()) {
-        continue;
-      }
-      bool possible = true;
-      for (std::size_t j = 0; j < sig.sig_stacks.size(); ++j) {
-        if (sig.live[j].load(std::memory_order_seq_cst) <= 0) {
-          possible = false;
-          break;
-        }
-      }
-      if (possible) {
-        cand_of[e] = cands.size();
-        cands.push_back(e);
-      }
+    // Candidate signatures: fully live ones the requester's slot can occupy,
+    // recorded by the AddTuple that preceded this attempt (the request's own,
+    // or the rollback below). An upgrade re-evaluates every signature: its
+    // held shared tuple can stand in for the new edge.
+    if (upgrade) {
+      CollectCandidates(gen, nullptr, &scratch.cands);
+    } else if (scratch.own_version != gen.version) {
+      record_search(-1);
+      return FastMatchOutcome::kFallback;
     }
+    const std::vector<std::size_t>& cands = upgrade ? scratch.cands : scratch.own_cands;
     if (cands.empty()) {
       if (attempt == 0) {
         // Trivial reject (§5.6 common case): no scan ran, so no fast-path
@@ -612,74 +731,15 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     // republished mid-request; only the epoch path may recompute
     // memberships (a recompute here would corrupt another generation's
     // live counters), so the decision falls back.
-    auto& pools = scratch.pools;
-    if (pools.size() < cands.size()) {
-      pools.resize(cands.size());
-    }
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      const std::size_t positions = gen.entries[cands[c]].sig_stacks.size();
-      if (pools[c].size() < positions) {
-        pools[c].resize(positions);
-      }
-      for (auto& pool : pools[c]) {
-        pool.clear();  // clear, never shrink: capacity persists across requests
-      }
-    }
-    for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
-      SlotStripe& stripe = slot_stripes_[s];
-      std::lock_guard<SpinLock> guard(stripe.lock);
-      scan_versions[s] = stripe.version;
-      for (const StackId id : stripe.live) {
-        StackSlot* live_slot = stack_slots_.Get(static_cast<std::size_t>(id));
-        if (live_slot->member_version != gen.version) {
-          record_search(-1);
-          return FastMatchOutcome::kFallback;
-        }
-        for (const std::uint32_t pack : live_slot->memberships) {
-          const std::size_t c = cand_of[pack >> kPosBits];
-          if (c == kNotCandidate) {
-            continue;
-          }
-          auto& pool = pools[c][pack & ((1u << kPosBits) - 1)];
-          for (const AllowedTuple& tuple : live_slot->tuples) {
-            pool.emplace_back(id, tuple);
-          }
-        }
-      }
+    if (!FillPools(gen, cands, scratch, /*lock_stripes=*/true)) {
+      record_search(-1);
+      return FastMatchOutcome::kFallback;
     }
 
     // Cover search on the private copies — same algorithm, zero shared
     // state. First matching signature wins, mirroring MatchAndRetire.
     MatchResult local;
-    AcquireMode self_mode = AcquireMode::kExclusive;
-    bool found = false;
-    for (std::size_t c = 0; c < cands.size() && !found; ++c) {
-      const SigGen::Entry& sig = gen.entries[cands[c]];
-      CoverScratch& cover = scratch.cover;
-      cover.Clear();
-      if (!CoverPositions(sig, pools[c], 0, cover, thread, lock)) {
-        continue;
-      }
-      local = MatchResult{};
-      local.signature_index = sig.index;
-      local.depth = sig.depth;
-      int deepest = stacks_->max_depth();
-      for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
-        deepest = std::min(
-            deepest, stacks_->DeepestMatchDepth(cover.chosen_stacks[j], sig.sig_stacks[j]));
-      }
-      local.deepest = std::max(deepest, sig.depth);
-      for (std::size_t j = 0; j < cover.chosen.size(); ++j) {
-        if (cover.chosen[j].thread == thread && cover.chosen[j].lock == lock) {
-          self_mode = cover.chosen[j].mode;
-          continue;
-        }
-        local.others.push_back(YieldCause{cover.chosen[j].thread, cover.chosen[j].lock,
-                                          cover.chosen_stacks[j], cover.chosen[j].mode});
-      }
-      found = true;
-    }
-    if (!found) {
+    if (!SearchCandidates(gen, cands, scratch, thread, lock, &local)) {
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       record_search(-1);
       return FastMatchOutcome::kNoMatch;
@@ -699,15 +759,16 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
       RegisterYield(thread, slot, local);
     }
     RemoveTuple(stack, thread, lock, /*held=*/false);
-    if (CoverStillStands(local, scan_versions)) {
+    if (CoverStillStands(local, scratch.scan_versions)) {
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       *result = std::move(local);
       record_search(result->signature_index);
       return FastMatchOutcome::kMatched;
     }
     // A matched tuple was retired under us: roll back (re-adding our
-    // tentative tuple restores the add-before-scan protocol) and rescan.
-    AddTuple(stack, AllowedTuple{thread, lock, false, self_mode});
+    // tentative tuple restores the add-before-scan protocol and records
+    // fresh candidates) and rescan.
+    AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &scratch);
     if (yield_on_match) {
       UnregisterYield(thread, slot);
     }
@@ -792,7 +853,8 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
 
     // Tentatively add the allow edge to the RAG cache (§5.4) — before the
     // fast reject, so two racing requesters cannot both miss each other.
-    AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+    // The add also records this request's candidate signatures.
+    AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &MatchScratch());
     slot.pending_stack = stack;
     slot.pending_lock = lock;
     if (pub != nullptr) {
@@ -815,7 +877,8 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
         // its live counters) across the scan. The scan embeds the §5.6 fast
         // reject, so no separate plausibility pre-pass runs here.
         MatchResult fast;
-        switch (TryMatchIncremental(thread, lock, stack, slot, yield_on_match, *gen, &fast)) {
+        switch (
+            TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &fast)) {
           case FastMatchOutcome::kMatched:
             match = std::move(fast);
             break;
@@ -1024,7 +1087,7 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     return RequestDecision::kReentrant;  // caller resolves against lock kind
   }
 
-  AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+  AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &MatchScratch());
   slot.pending_stack = stack;
   slot.pending_lock = lock;
   if (pub != nullptr) {
@@ -1042,8 +1105,8 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     bool need_epoch = false;
     if (config_.incremental_matcher) {
       MatchResult fast;
-      switch (
-          TryMatchIncremental(thread, lock, stack, slot, /*yield_on_match=*/false, *gen, &fast)) {
+      switch (TryMatchIncremental(thread, lock, mode, stack, slot, /*yield_on_match=*/false, *gen,
+                                  &fast)) {
         case FastMatchOutcome::kMatched:
           match = std::move(fast);
           break;

@@ -36,11 +36,14 @@
 // maintained by tuple add/remove under slot stripe locks with seq_cst RMWs.
 // A request first bumps its own tentative tuple, then reads the counters
 // (the store-buffer litmus guarantees two racing requesters cannot both
-// miss each other). When every position of some signature is live — an
-// instantiation is plausible — the request runs the *incremental* cover
-// search (TryMatchIncremental): it copies the candidate tuples one stripe
-// lock at a time into private pools, runs the cover search on the copies,
-// and on a match validates the chosen cover after registering its yield.
+// miss each other). A position counts as live only while it has as many
+// tuples as the signature has positions matching the same stacks (distinct
+// threads fill them). When every position of a signature the requester's
+// own stack can occupy is live — an instantiation that uses the new edge is
+// plausible — the request runs the *incremental* cover search
+// (TryMatchIncremental): it copies the candidate tuples one stripe lock at a
+// time into private pools, runs the cover search on the copies, and on a
+// match validates the chosen cover after registering its yield.
 // The add-before-scan protocol makes a no-match answer authoritative
 // without validation: if requester R1's scan of R2's stripe missed R2's
 // tentative tuple, then R1's add happened before R1's scan, which happened
@@ -368,18 +371,24 @@ class AvoidanceEngine {
     }
   };
 
-  // Per-thread scratch for the incremental matcher: candidate indexes and
-  // tuple pools keep their capacity between acquisitions, so the steady
-  // state copies tuples without touching the allocator (shortening the
-  // requester's own tuple-live window, which quadratically lowers the odds
-  // other requesters coincide with it).
+  // Per-thread scratch for both matchers: candidate indexes and tuple pools
+  // keep their capacity between acquisitions, so the steady state copies
+  // tuples without touching the allocator (shortening the requester's own
+  // tuple-live window, which quadratically lowers the odds other requesters
+  // coincide with it, and keeping allocation out of the epoch).
   struct FastScratch {
-    std::vector<std::size_t> cands;
-    std::vector<std::size_t> cand_of;
+    // The requester-scoped candidate set: entries of generation
+    // `own_version` that the requester's slot can occupy and that were fully
+    // live right after its tentative add. Written by AddTupleLocked.
+    std::vector<std::size_t> own_cands;
+    std::uint64_t own_version = kStaleVersion;
+    std::vector<std::size_t> cands;    // upgrade / epoch candidate set
+    std::vector<std::size_t> cand_of;  // entry -> candidate slot; reset after use
     std::vector<std::uint64_t> scan_versions;
     std::vector<std::vector<std::vector<std::pair<StackId, AllowedTuple>>>> pools;
     CoverScratch cover;
   };
+  static FastScratch& MatchScratch();
 
   // One immutable generation of the signature cache. Generations are built
   // under sig_mutex_ + the epoch and published via an atomic pointer;
@@ -397,11 +406,18 @@ class AvoidanceEngine {
       // live[j] = tuples currently present in slots matching sig_stacks[j]
       // at `depth`. seq_cst add/remove + seq_cst fast-reject reads.
       std::unique_ptr<std::atomic<std::int64_t>[]> live;
+      // need[j] = positions k (j included) whose sig_stacks[k] matches
+      // sig_stacks[j] at `depth`. An instance puts a distinct thread on every
+      // position, and matching at a depth is an equivalence, so position j
+      // can only be covered while live[j] >= need[j]: a same-suffix
+      // signature needs two threads at that suffix, not one.
+      std::vector<std::int64_t> need;
     };
     std::vector<Entry> entries;
-    // dead[e] = positions of entries[e] whose live counter is zero (empty
+    // dead[e] = positions j of entries[e] with live[j] < need[j] (empty
     // signatures pin a sentinel 1 so they can never look fully live).
-    // Maintained on live[] 0<->1 transitions by Add/RemoveTupleLocked.
+    // Maintained on live[] need-1 <-> need transitions by
+    // Add/RemoveTupleLocked.
     std::unique_ptr<std::atomic<std::int32_t>[]> dead;
     // Entries with dead[e] == 0 — the O(1) form of the §5.6 fast reject.
     // Zero means no signature can possibly be instantiated right now, which
@@ -410,6 +426,14 @@ class AvoidanceEngine {
     // requesters argument (see AddTupleLocked) intact.
     mutable std::atomic<std::int64_t> fully_live{0};
   };
+  // True when every position j of `sig` has live[j] >= need[j] (seq_cst
+  // reads): only then can the signature have an instance.
+  static bool EveryPositionLive(const SigGen::Entry& sig);
+  // Writes to `out` the entries named in `memberships` (packed, sorted by
+  // entry) that pass EveryPositionLive; every entry of `gen` when
+  // `memberships` is null.
+  static void CollectCandidates(const SigGen& gen, const std::vector<std::uint32_t>* memberships,
+                                std::vector<std::size_t>* out);
 
   struct MatchResult {
     int signature_index = -1;
@@ -447,9 +471,12 @@ class AvoidanceEngine {
   StackSlot* SlotFor(StackId id);
 
   // Tuple bookkeeping. Caller must hold StripeOf(stack). These maintain the
-  // stripe live list and the generation's per-position live counters.
-  void AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
-                      const AllowedTuple& tuple);
+  // stripe live list and the generation's per-position live counters. A
+  // requester passes its `scratch` to AddTupleLocked, which then records the
+  // requester-scoped candidate set (FastScratch::own_cands) right after the
+  // add, under the stripe lock it already holds.
+  void AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot, const AllowedTuple& tuple,
+                      FastScratch* scratch = nullptr);
   // Removes (thread, lock)'s tuple, preferring the edge kind being retired
   // (held: hold edge; !held: allow edge) — during an upgrade a thread can
   // have both a shared hold tuple and an exclusive allow tuple for the same
@@ -457,7 +484,7 @@ class AvoidanceEngine {
   void RemoveTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
                          ThreadId thread, LockId lock, bool held);
   // Convenience: lock the stripe, run the op.
-  void AddTuple(StackId stack, const AllowedTuple& tuple);
+  void AddTuple(StackId stack, const AllowedTuple& tuple, FastScratch* scratch = nullptr);
   void RemoveTuple(StackId stack, ThreadId thread, LockId lock, bool held);
 
   // Refreshes `slot`'s membership cache against `gen` if stale. Caller
@@ -486,9 +513,27 @@ class AvoidanceEngine {
 
   // Authoritative search under the epoch. On a match in blocking mode
   // (yield_on_match), atomically retires the requester's allow tuple and
-  // registers the yield; in nonblocking mode only retires the tuple.
+  // registers the yield; in nonblocking mode only retires the tuple. Like
+  // the incremental matcher it searches only the signatures the requester's
+  // slot can occupy (every signature for an upgrade).
   std::optional<MatchResult> MatchAndRetire(ThreadId thread, LockId lock, StackId stack,
                                             ThreadSlot& slot, bool yield_on_match);
+
+  // True when `thread` already holds `lock` (the request is a shared ->
+  // exclusive upgrade): its held shared tuple can then serve as the
+  // instance's requester edge, so candidates cannot be scoped to its slot.
+  static bool IsUpgrade(const ThreadSlot& slot, LockId lock);
+  // Copies the live tuples of every position of `cands` into scratch.pools.
+  // With `lock_stripes` (incremental matcher) each stripe is locked in turn
+  // and its version recorded in scratch.scan_versions, and a live slot whose
+  // memberships are not from `gen` makes it return false; the epoch holder
+  // passes false and refreshes such memberships instead.
+  bool FillPools(const SigGen& gen, const std::vector<std::size_t>& cands, FastScratch& scratch,
+                 bool lock_stripes);
+  // Cover search over the filled pools, candidates in order; the first
+  // match wins and is written to `result`.
+  bool SearchCandidates(const SigGen& gen, const std::vector<std::size_t>& cands,
+                        FastScratch& scratch, ThreadId thread, LockId lock, MatchResult* result);
 
   // Incremental cover search — the common-case replacement for the epoch.
   enum class FastMatchOutcome {
@@ -496,17 +541,19 @@ class AvoidanceEngine {
     kMatched,   // *result holds the cover; tuple retired (+ yield registered)
     kFallback,  // could not decide locally; caller runs MatchAndRetire
   };
-  // Scans the live slots one stripe lock at a time against `gen` (the
-  // caller's pinned generation), copies candidate tuples into private
-  // pools, and runs the cover search on the copies. On a match it performs
-  // the same retire(+register) sequence as MatchAndRetire, then validates
-  // the chosen cover is still standing; validation churn retries a bounded
-  // number of times before handing the decision to the epoch. Falls back
-  // (never recomputes) when any live slot's membership cache is stale
-  // w.r.t. `gen` — only the epoch path may recompute memberships.
-  FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, StackId stack,
-                                       ThreadSlot& slot, bool yield_on_match, const SigGen& gen,
-                                       MatchResult* result);
+  // Takes the requester-scoped candidates its AddTuple recorded (every fully
+  // live signature for an upgrade), scans the live slots one stripe lock at
+  // a time against `gen` (the caller's pinned generation), copies the
+  // candidates' tuples into private pools, and runs the cover search on the
+  // copies. On a match it performs the same retire(+register) sequence as
+  // MatchAndRetire, then validates the chosen cover is still standing;
+  // validation churn retries a bounded number of times before handing the
+  // decision to the epoch. Falls back (never recomputes) when the recorded
+  // candidates or any live slot's membership cache are stale w.r.t. `gen`
+  // — only the epoch path may recompute memberships.
+  FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, AcquireMode mode,
+                                       StackId stack, ThreadSlot& slot, bool yield_on_match,
+                                       const SigGen& gen, MatchResult* result);
   // True when every non-requester tuple of `result`'s cover is still in its
   // slot (one stripe lock at a time). `scan_versions[s]` is the version
   // slot stripe `s` had during the pool scan: an unchanged stripe is valid

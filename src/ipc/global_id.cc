@@ -99,19 +99,22 @@ std::vector<SharedRegion> ParseSharedMaps() {
   return regions;
 }
 
+// Finds the region of `regions` (sorted by start) containing `addr`.
+bool FindRegion(const std::vector<SharedRegion>& regions, std::uint64_t addr,
+                SharedRegion* out) {
+  auto it = std::upper_bound(regions.begin(), regions.end(), addr,
+                             [](std::uint64_t a, const SharedRegion& r) { return a < r.start; });
+  if (it != regions.begin() && addr < std::prev(it)->end) {
+    *out = *std::prev(it);
+    return true;
+  }
+  return false;
+}
+
 // Finds the cached shared region containing `addr`; nullopt-style via bool.
 bool LookupRegion(std::uint64_t addr, SharedRegion* out) {
   std::lock_guard<SpinLock> guard(g_maps_lock);
-  if (g_maps_cache != nullptr) {
-    auto it = std::upper_bound(
-        g_maps_cache->begin(), g_maps_cache->end(), addr,
-        [](std::uint64_t a, const SharedRegion& r) { return a < r.start; });
-    if (it != g_maps_cache->begin() && addr < std::prev(it)->end) {
-      *out = *std::prev(it);
-      return true;
-    }
-  }
-  return false;
+  return g_maps_cache != nullptr && FindRegion(*g_maps_cache, addr, out);
 }
 
 // --- per-thread resolution cache --------------------------------------------
@@ -312,18 +315,19 @@ LockId GlobalIdForSharedAddress(const void* addr) {
   const std::uint64_t a = reinterpret_cast<std::uint64_t>(addr);
   SharedRegion region;
   if (!LookupRegion(a, &region)) {
-    // Miss: the mapping may postdate the cache. Re-parse once.
+    // Miss: the mapping may postdate the cache. Re-parse once, and resolve
+    // against this parse itself: a concurrent InvalidateMapsCache can empty
+    // the shared cache before a second lookup would read it, which used to
+    // fall through to address identity for a file-backed mapping.
     auto fresh = ParseSharedMaps();
-    {
-      std::lock_guard<SpinLock> guard(g_maps_lock);
-      if (g_maps_cache == nullptr) {
-        g_maps_cache = new std::vector<SharedRegion>();
-      }
-      *g_maps_cache = std::move(fresh);
-    }
-    if (!LookupRegion(a, &region)) {
+    if (!FindRegion(fresh, a, &region)) {
       region = SharedRegion{};  // unresolvable: fall through to address identity
     }
+    std::lock_guard<SpinLock> guard(g_maps_lock);
+    if (g_maps_cache == nullptr) {
+      g_maps_cache = new std::vector<SharedRegion>();
+    }
+    *g_maps_cache = std::move(fresh);
   }
   LockId id;
   if (region.ino != 0 || region.dev != 0) {

@@ -16,11 +16,17 @@
 //     scanning, so concurrent requesters cannot miss each other; this is
 //     the invariant that keeps the fast path semantics equal to the
 //     stop-the-stripes search it replaced.
+//
+//  3. The same litmus for a same-suffix signature ({s, s}, the
+//     transfer(a, b) vs transfer(b, a) shape): both racers enter one stack,
+//     so each position needs two live tuples before the fast reject lets a
+//     request through to the cover search.
 
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
+#include <array>
 #include <atomic>
 #include <latch>
 #include <string>
@@ -192,26 +198,31 @@ TEST_P(MatcherProperty, ChurnedDecisionsMatchSequentialOracle) {
       << "incremental matcher must carry the matching probes";
 }
 
-TEST_P(MatcherProperty, RacingSecondEdgesNeverBothPass) {
-  Runtime rt(SweptConfig());
-  SeedDepthSensitiveSignature(rt);
-
+// Each round, two threads take one lock apiece through `hold_inner[side]`,
+// then race nonblocking requests for each other's lock through
+// `race_inner[side]`. The racing pair instantiates the seeded signature, so
+// at most one of the two may be granted.
+void ExpectRacingSecondEdgesNeverBothPass(Runtime& rt, LockId base,
+                                          const std::array<const char*, 2>& hold_inner,
+                                          const std::array<const char*, 2>& race_inner) {
   constexpr int kRounds = 40;
   for (int round = 0; round < kRounds; ++round) {
-    const LockId lock_a = 0x3000 + 2 * round;
-    const LockId lock_b = 0x3001 + 2 * round;
+    const std::array<LockId, 2> locks = {base + 2 * round, base + 2 * round + 1};
     std::latch both_held(2);
     std::latch both_decided(2);
     std::atomic<int> grants{0};
-    auto side = [&](bool is_a) {
+    auto side = [&](int s) {
       const ThreadId tid = rt.RegisterCurrentThread();
-      const LockId first = is_a ? lock_a : lock_b;
-      const LockId second = is_a ? lock_b : lock_a;
+      const LockId first = locks[s];
+      const LockId second = locks[1 - s];
       ScopedFrame outer(FrameFromName(kOuterWork));
-      ScopedFrame inner(FrameFromName(is_a ? kInnerA : kInnerB));
-      ASSERT_EQ(rt.engine().Request(tid, first), RequestDecision::kGo);
-      rt.engine().Acquired(tid, first);
+      {
+        ScopedFrame inner(FrameFromName(hold_inner[s]));
+        ASSERT_EQ(rt.engine().Request(tid, first), RequestDecision::kGo);
+        rt.engine().Acquired(tid, first);
+      }
       both_held.arrive_and_wait();
+      ScopedFrame inner(FrameFromName(race_inner[s]));
       const RequestDecision d = rt.engine().RequestNonblocking(tid, second);
       if (d == RequestDecision::kGo) {
         grants.fetch_add(1, std::memory_order_relaxed);
@@ -225,14 +236,31 @@ TEST_P(MatcherProperty, RacingSecondEdgesNeverBothPass) {
       }
       rt.engine().Release(tid, first);
     };
-    std::thread t1([&] { side(true); });
-    std::thread t2([&] { side(false); });
+    std::thread t1([&] { side(0); });
+    std::thread t2([&] { side(1); });
     t1.join();
     t2.join();
     EXPECT_LE(grants.load(), 1)
         << "round " << round
         << ": both racing second edges granted — the add-before-scan litmus broke";
   }
+}
+
+TEST_P(MatcherProperty, RacingSecondEdgesNeverBothPass) {
+  Runtime rt(SweptConfig());
+  SeedDepthSensitiveSignature(rt);
+  ExpectRacingSecondEdgesNeverBothPass(rt, 0x3000, {kInnerA, kInnerB}, {kInnerA, kInnerB});
+}
+
+TEST_P(MatcherProperty, SameSuffixRacingSecondEdgesNeverBothPass) {
+  Runtime rt(SweptConfig());
+  const StackId s = rt.stacks().Intern({FrameFromName(kInnerA), FrameFromName(kOuterSig)});
+  bool added = false;
+  rt.history().Add(SignatureKind::kDeadlock, {s, s}, 1, &added);
+  rt.engine().NotifyHistoryChanged();
+  // The holds are taken outside the signature's stack, so neither is
+  // refused; then both threads race into the one stack on swapped locks.
+  ExpectRacingSecondEdgesNeverBothPass(rt, 0x4000, {kInnerB, kInnerB}, {kInnerA, kInnerA});
 }
 
 INSTANTIATE_TEST_SUITE_P(Stripes, MatcherProperty,
