@@ -2,15 +2,11 @@
 //
 // Ablations of Dimmunix design choices (not a paper figure; DESIGN.md §5):
 //
-//  A. Engine-guard mechanism: TAS spin lock vs. the paper's generalized
-//     Peterson filter lock (§5.6). Peterson is O(n) per entry with only
-//     loads/stores; the ablation quantifies what the "lock-free" guard
-//     costs on modern hardware.
-//  B. Stack source: deterministic annotations vs. native backtrace().
+//  A. Stack source: deterministic annotations vs. native backtrace().
 //     The paper's pthreads implementation pays backtrace() on every lock
 //     request; annotations are this repo's cheaper, deterministic
 //     substitute.
-//  C. Monitor period τ: detection latency is bounded by τ (§3); the
+//  B. Monitor period τ: detection latency is bounded by τ (§3); the
 //     ablation confirms throughput is insensitive to τ (all heavy work is
 //     off the critical path).
 
@@ -35,35 +31,15 @@ WorkloadParams AblationParams(Runtime* rt) {
   return params;
 }
 
-double RunGuard(bool peterson) {
-  Config config;
-  config.use_peterson_guard = peterson;
-  config.peterson_slots = 16;
-  config.start_monitor = true;
-  Runtime rt(config);
-  SynthHistoryParams sigs;
-  sigs.signatures = 64;
-  GenerateSyntheticHistory(&rt.history(), &rt.stacks(), sigs);
-  rt.engine().NotifyHistoryChanged();
-  return RunWorkload(AblationParams(&rt)).ops_per_sec;
-}
-
 }  // namespace
 }  // namespace dimmunix
 
 int main() {
   using namespace dimmunix;
-  PrintHeader("Ablations: guard mechanism, stack source, monitor period",
+  PrintHeader("Ablations: stack source, monitor period",
               "design-choice sensitivity; no direct paper counterpart");
 
-  std::printf("-- A. engine guard: TAS spin vs generalized Peterson (8 threads) --\n");
-  const double spin = RunGuard(false);
-  const double peterson = RunGuard(true);
-  std::printf("spin guard:     %12.0f ops/s\n", spin);
-  std::printf("peterson guard: %12.0f ops/s (%.2fx of spin)\n", peterson,
-              spin > 0 ? peterson / spin : 0.0);
-
-  std::printf("-- B. stack capture cost per operation --\n");
+  std::printf("-- A. stack capture cost per operation --\n");
   {
     const int iters = 20000;
     // Annotated capture.
@@ -88,7 +64,7 @@ int main() {
                 sink);
   }
 
-  std::printf("-- C. monitor period tau sensitivity (throughput should be flat) --\n");
+  std::printf("-- B. monitor period tau sensitivity (throughput should be flat) --\n");
   for (int tau_ms : {10, 50, 100, 500}) {
     Config config;
     config.monitor_period = std::chrono::milliseconds(tau_ms);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lane: keep the documentation from silently rotting.
 
-Two checks, both cheap enough to run on every push:
+Three checks, all cheap enough to run on every push:
 
 1. Link check — every relative markdown link in docs/*.md and README.md
    must point at a file that exists in the repo (anchors are stripped;
@@ -10,6 +10,10 @@ Two checks, both cheap enough to run on every push:
 2. Subsystem guard — every `src/<subsystem>/` directory must be named in
    docs/architecture.md's subsystem map. Adding a new subsystem without
    documenting where it sits in the architecture fails CI.
+3. Knob guard — the set of DIMMUNIX_* environment variables that src/ and
+   tools/ read (getenv, or the Getenv/Env* helpers of
+   src/common/config.cc) must equal the README "Environment knobs" list.
+   A knob added or removed without its README line fails CI.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -23,6 +27,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # [text](target) — good enough for the hand-written markdown in this repo;
 # fenced code blocks are excluded below so code samples can't false-positive.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+# A DIMMUNIX_* name passed as a string literal to an environment reader.
+KNOB_READ_RE = re.compile(r"\b(?:getenv|Getenv|Env[A-Za-z]+)\(\s*\"(DIMMUNIX_[A-Z0-9_]+)\"")
+KNOB_NAME_RE = re.compile(r"`(DIMMUNIX_[A-Z0-9_]+)")
 
 
 def strip_fenced_code(text: str) -> str:
@@ -69,15 +77,49 @@ def check_subsystems() -> list[str]:
     return errors
 
 
+def knobs_read() -> set[str]:
+    names = set()
+    for top in ("src", "tools"):
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix in (".cc", ".h"):
+                names.update(KNOB_READ_RE.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+def knobs_documented() -> set[str] | None:
+    """Names in the README paragraph (and its list) opening "Environment
+    knobs", up to the next heading; None when the section is missing."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.find("\nEnvironment knobs")
+    if start < 0:
+        return None
+    end = text.find("\n#", start + 1)
+    return set(KNOB_NAME_RE.findall(text[start : end if end >= 0 else len(text)]))
+
+
+def check_knobs() -> list[str]:
+    documented = knobs_documented()
+    if documented is None:
+        return ["README.md: the \"Environment knobs\" list is missing"]
+    read = knobs_read()
+    errors = [f"README.md: knob {k} is read by the code but not listed"
+              for k in sorted(read - documented)]
+    errors += [f"README.md: knob {k} is listed but never read by src/ or tools/"
+               for k in sorted(documented - read)]
+    print(f"docs-check: {len(read)} DIMMUNIX_* environment knobs read by src/ and tools/")
+    return errors
+
+
 def main() -> int:
     errors = []
     for md in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
         errors.extend(check_links(md))
     errors.extend(check_subsystems())
+    errors.extend(check_knobs())
     for err in errors:
         print(f"docs-check: {err}", file=sys.stderr)
     if not errors:
-        print("docs-check: all links resolve, all subsystems documented")
+        print("docs-check: all links resolve, all subsystems and knobs documented")
     return min(len(errors), 99)
 
 

@@ -32,17 +32,11 @@ long EnvLong(const char* name, long fallback) {
   return parsed;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = Getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v) {
-    return fallback;
-  }
-  return parsed;
+// A period knob: like EnvLong, but a value <= 0 also keeps `fallback` (a
+// zero period would turn the thread that waits on it into a busy loop).
+std::chrono::milliseconds EnvPeriodMs(const char* name, std::chrono::milliseconds fallback) {
+  const long parsed = EnvLong(name, fallback.count());
+  return parsed > 0 ? std::chrono::milliseconds(parsed) : fallback;
 }
 
 }  // namespace
@@ -53,8 +47,7 @@ Config Config::FromEnvironment(Config base) {
   if (const char* h = Getenv("DIMMUNIX_HISTORY"); h != nullptr && *h != '\0') {
     base.history_path = h;
   }
-  base.monitor_period =
-      std::chrono::milliseconds(EnvLong("DIMMUNIX_TAU_MS", base.monitor_period.count()));
+  base.monitor_period = EnvPeriodMs("DIMMUNIX_TAU_MS", base.monitor_period);
   base.default_match_depth =
       static_cast<int>(EnvLong("DIMMUNIX_DEPTH", base.default_match_depth));
   base.max_match_depth = static_cast<int>(EnvLong("DIMMUNIX_MAX_DEPTH", base.max_match_depth));
@@ -63,9 +56,6 @@ Config Config::FromEnvironment(Config base) {
       std::chrono::milliseconds(EnvLong("DIMMUNIX_YIELD_TIMEOUT_MS", base.yield_timeout.count()));
   base.ignore_yield_decisions = EnvBool("DIMMUNIX_IGNORE_YIELDS", base.ignore_yield_decisions);
   base.engine_stripes = static_cast<int>(EnvLong("DIMMUNIX_STRIPES", base.engine_stripes));
-  base.incremental_matcher = EnvBool("DIMMUNIX_INCREMENTAL_MATCH", base.incremental_matcher);
-  base.epoch_hold_bound =
-      std::chrono::milliseconds(EnvLong("DIMMUNIX_EPOCH_BOUND_MS", base.epoch_hold_bound.count()));
   base.journal_threshold =
       static_cast<int>(EnvLong("DIMMUNIX_JOURNAL_THRESHOLD", base.journal_threshold));
   base.journal_fsync = EnvBool("DIMMUNIX_JOURNAL_FSYNC", base.journal_fsync);
@@ -74,10 +64,7 @@ Config Config::FromEnvironment(Config base) {
   if (const char* ipc = Getenv("DIMMUNIX_IPC"); ipc != nullptr && *ipc != '\0') {
     base.ipc_path = ipc;
   }
-  base.ipc_bridge_period = std::chrono::milliseconds(
-      EnvLong("DIMMUNIX_IPC_BRIDGE_MS", base.ipc_bridge_period.count()));
-  base.ipc_flush_period = std::chrono::microseconds(
-      EnvLong("DIMMUNIX_IPC_FLUSH_US", base.ipc_flush_period.count()));
+  base.ipc_bridge_period = EnvPeriodMs("DIMMUNIX_IPC_BRIDGE_MS", base.ipc_bridge_period);
   if (const char* m = Getenv("DIMMUNIX_IMMUNITY"); m != nullptr) {
     std::string_view s(m);
     if (s == "strong") {
@@ -99,26 +86,6 @@ Config Config::FromEnvironment(Config base) {
   }
   base.metrics_enabled = EnvBool("DIMMUNIX_METRICS", base.metrics_enabled);
   base.health_enabled = EnvBool("DIMMUNIX_HEALTH", base.health_enabled);
-  base.health_period =
-      std::chrono::milliseconds(EnvLong("DIMMUNIX_HEALTH_MS", base.health_period.count()));
-  base.health_retry_ratio = EnvDouble("DIMMUNIX_HEALTH_RETRY_RATIO", base.health_retry_ratio);
-  base.health_epoch_stall_pct =
-      EnvDouble("DIMMUNIX_HEALTH_EPOCH_STALL_PCT", base.health_epoch_stall_pct);
-  base.health_ipc_backlog =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_IPC_BACKLOG", base.health_ipc_backlog));
-  base.health_ipc_flush_p99_us =
-      EnvLong("DIMMUNIX_HEALTH_IPC_FLUSH_P99_US", base.health_ipc_flush_p99_us);
-  base.health_arena_pct = EnvDouble("DIMMUNIX_HEALTH_ARENA_PCT", base.health_arena_pct);
-  base.health_ring_drops_per_s =
-      EnvDouble("DIMMUNIX_HEALTH_RING_DROPS", base.health_ring_drops_per_s);
-  base.health_store_queue =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_STORE_QUEUE", base.health_store_queue));
-  base.health_resync_stale_x =
-      EnvDouble("DIMMUNIX_HEALTH_RESYNC_STALE_X", base.health_resync_stale_x);
-  base.health_fire_ticks =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_FIRE_TICKS", base.health_fire_ticks));
-  base.health_resolve_ticks =
-      static_cast<int>(EnvLong("DIMMUNIX_HEALTH_RESOLVE_TICKS", base.health_resolve_ticks));
   if (const char* inc = Getenv("DIMMUNIX_INCIDENT_DIR"); inc != nullptr && *inc != '\0') {
     base.incident_dir = inc;
   }

@@ -68,28 +68,10 @@ struct Config {
   // Table 1's middle configuration: run full instrumentation + detection but
   // ignore YIELD decisions (never actually pause threads).
   bool ignore_yield_decisions = false;
-  // Guard the engine's consistent-view (stop-the-stripes) entry with the
-  // generalized Peterson filter lock (§5.6) instead of a TAS spin lock. The
-  // striped per-shard locks are always TAS spin locks.
-  bool use_peterson_guard = false;
-  // Maximum threads that may simultaneously run through the engine when the
-  // Peterson guard is selected (slot count of the filter lock).
-  int peterson_slots = 64;
   // Number of stripes the engine shards its owner map and Allowed sets
   // across (rounded up to a power of two). 0 = auto: 2*nproc rounded up to
   // a power of two. 1 reproduces the pre-striping single-guard engine.
   int engine_stripes = 0;
-  // Decide cover matches from per-stripe snapshots (live-tuple counters +
-  // Allowed-slot copies taken one stripe lock at a time) instead of the
-  // stop-the-stripes epoch. The epoch survives as the rare slow path:
-  // signature install/disable rebuilds, snapshot folds, and fast-path
-  // validation churn. False reproduces the pre-incremental matcher.
-  bool incremental_matcher = true;
-  // Upper bound on how long any stop-the-stripes epoch may be held,
-  // asserted in debug builds (release builds only count epoch_hold_ns).
-  // Generous by design — it exists to catch reintroduced unbounded epoch
-  // work, not scheduler noise or sanitizer slowdowns.
-  std::chrono::milliseconds epoch_hold_bound{1000};
 
   // --- History -------------------------------------------------------------
   std::string history_path;       // empty = in-memory only
@@ -121,12 +103,6 @@ struct Config {
   std::string ipc_path;
   // How often the bridge mirrors foreign edges (and heartbeats).
   std::chrono::milliseconds ipc_bridge_period{25};
-  // How long a batched (deferred) edge publication may sit in the pending
-  // op-log before the bridge drains it to the arena. 0 = publish eagerly on
-  // every transition (protocol-v1 behavior, higher per-op cost). Contention
-  // flushes immediately regardless — this bound only applies to edges no
-  // local thread is blocked behind. See docs/ipc-arena.md.
-  std::chrono::microseconds ipc_flush_period{2000};
 
   // --- Control plane ---------------------------------------------------------
   // Non-empty: the runtime listens on this UNIX-domain socket for `dimctl`
@@ -159,24 +135,12 @@ struct Config {
   bool metrics_enabled = true;
 
   // --- Health rules / incident forensics (src/obs) ---------------------------
-  // Periodic self-diagnosis: an evaluator thread ticks the HealthEngine,
-  // deriving typed alerts (firing -> active -> resolved hysteresis) from the
-  // engine/bridge/store counters. Zero lock-path cost: it only reads the
-  // existing stats snapshots.
+  // Periodic self-diagnosis: an evaluator thread ticks the HealthEngine on
+  // the monitor cadence (τ), deriving typed alerts (firing -> active ->
+  // resolved hysteresis) from the engine/bridge/store counters against the
+  // fixed thresholds in obs::HealthThresholds. Zero lock-path cost: it only
+  // reads the existing stats snapshots.
   bool health_enabled = true;
-  // Evaluator cadence. 0 = tick on the monitor cadence (τ).
-  std::chrono::milliseconds health_period{0};
-  // Rule thresholds (see docs/observability.md for each rule's signal).
-  double health_retry_ratio = 0.5;        // match fast-path retries per request
-  double health_epoch_stall_pct = 5.0;    // % of wall time stalled entering epochs
-  int health_ipc_backlog = 256;           // IPC pending-op log depth
-  long health_ipc_flush_p99_us = 10000;   // IPC pending-log drain p99 (us)
-  double health_arena_pct = 80.0;         // arena slot/edge utilization %
-  double health_ring_drops_per_s = 100.0; // trace events dropped per second
-  int health_store_queue = 64;            // history store writer queue depth
-  double health_resync_stale_x = 3.0;     // resync age / resync period
-  int health_fire_ticks = 2;              // breaches before firing -> active
-  int health_resolve_ticks = 2;           // clears before active -> resolved
   // Non-empty: when the monitor detects a cycle, avoids one, or breaks a
   // starvation, write a structured JSON incident bundle (signature, RAG
   // snapshot, victim's recent trace events, histogram percentiles, active
@@ -192,29 +156,23 @@ struct Config {
   //   DIMMUNIX_IMMUNITY (weak|strong), DIMMUNIX_CALIBRATION (0|1),
   //   DIMMUNIX_YIELD_TIMEOUT_MS, DIMMUNIX_IGNORE_YIELDS (0|1),
   //   DIMMUNIX_STAGE (instr|data|full), DIMMUNIX_STRIPES (0 = auto),
-  //   DIMMUNIX_INCREMENTAL_MATCH (0|1, default 1),
-  //   DIMMUNIX_EPOCH_BOUND_MS (debug-asserted epoch hold bound),
   //   DIMMUNIX_CONTROL (control-socket path, e.g. /tmp/app.dimmunix.sock),
   //   DIMMUNIX_FLEET (host:port of the attached dimmunixd daemon),
   //   DIMMUNIX_JOURNAL_THRESHOLD, DIMMUNIX_JOURNAL_FSYNC (0|1),
   //   DIMMUNIX_RESYNC_MS (0 = off),
   //   DIMMUNIX_IPC (arena path), DIMMUNIX_IPC_BRIDGE_MS,
-  //   DIMMUNIX_IPC_FLUSH_US (0 = eager publication),
   //   DIMMUNIX_ID_CACHE (per-thread global-ID cache entries, 0 = off —
   //   read by src/ipc/global_id.cc),
   //   DIMMUNIX_TRACE (0|1), DIMMUNIX_TRACE_RING (events per thread),
   //   DIMMUNIX_TRACE_DUMP (Chrome-JSON dump path, %p -> pid),
   //   DIMMUNIX_METRICS (0|1, default 1),
-  //   DIMMUNIX_HEALTH (0|1, default 1), DIMMUNIX_HEALTH_MS (0 = τ),
-  //   DIMMUNIX_HEALTH_RETRY_RATIO, DIMMUNIX_HEALTH_EPOCH_STALL_PCT,
-  //   DIMMUNIX_HEALTH_IPC_BACKLOG, DIMMUNIX_HEALTH_IPC_FLUSH_P99_US,
-  //   DIMMUNIX_HEALTH_ARENA_PCT, DIMMUNIX_HEALTH_RING_DROPS,
-  //   DIMMUNIX_HEALTH_STORE_QUEUE, DIMMUNIX_HEALTH_RESYNC_STALE_X,
-  //   DIMMUNIX_HEALTH_FIRE_TICKS, DIMMUNIX_HEALTH_RESOLVE_TICKS,
+  //   DIMMUNIX_HEALTH (0|1, default 1),
   //   DIMMUNIX_INCIDENT_DIR (incident-bundle directory, empty = off),
   //   DIMMUNIX_INCIDENT_MAX, DIMMUNIX_INCIDENT_MIN_MS,
   //   DIMMUNIX_PROC_TAG (process identity for proc-qualified signatures;
   //   defaults to the executable path — read by src/ipc/global_id.cc).
+  // Malformed numbers, and periods (DIMMUNIX_TAU_MS, DIMMUNIX_IPC_BRIDGE_MS)
+  // that are not positive, keep the current value.
   static Config FromEnvironment();
   static Config FromEnvironment(Config base);
 };

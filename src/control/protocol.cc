@@ -330,7 +330,6 @@ std::string DoConfig(Runtime& rt) {
   out << "yield_timeout_ms=" << c.yield_timeout.count() << "\n";
   out << "auto_disable_aborts=" << c.auto_disable_aborts << "\n";
   out << "ignore_yield_decisions=" << (c.ignore_yield_decisions ? 1 : 0) << "\n";
-  out << "use_peterson_guard=" << (c.use_peterson_guard ? 1 : 0) << "\n";
   out << "engine_stripes=" << rt.engine().stripe_count() << "\n";
   out << "history_path=" << c.history_path << "\n";
   out << "journal_threshold=" << c.journal_threshold << "\n";

@@ -50,6 +50,41 @@ class ScopedEngineEntry {
   const bool nested_;
 };
 
+Event MakeEvent(EventType type, ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
+  Event ev;
+  ev.type = type;
+  ev.thread = thread;
+  ev.lock = lock;
+  ev.stack = stack;
+  ev.mode = mode;
+  return ev;
+}
+
+// `slot`'s entry for `lock`, or null when the thread does not hold it. A
+// request for a held lock is reentrant or a shared -> exclusive upgrade; an
+// upgrade's held shared tuple can serve as the instance's requester edge,
+// so its candidates cannot be scoped to its slot.
+ThreadSlot::Held* FindHeld(ThreadSlot& slot, LockId lock) {
+  for (ThreadSlot::Held& held : slot.held) {
+    if (held.lock == lock) {
+      return &held;
+    }
+  }
+  return nullptr;
+}
+
+// Reentrant acquisition can never deadlock, so it skips avoidance (§6: a
+// thread re-entering a monitor returns immediately). An exclusive owner
+// re-requesting in any mode and a shared holder re-requesting shared are
+// reentrant; a shared holder requesting exclusive is an *upgrade* and runs
+// the full protocol — upgrade cycles are exactly the rwlock deadlocks the
+// engine must see. The thread's own holds live in its slot, so this needs
+// no lock-owner stripe round trip.
+bool IsReentrant(ThreadSlot& slot, LockId lock, AcquireMode mode) {
+  const ThreadSlot::Held* held = FindHeld(slot, lock);
+  return held != nullptr && (held->mode == AcquireMode::kExclusive || mode == AcquireMode::kShared);
+}
+
 }  // namespace
 
 AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, History* history,
@@ -59,8 +94,6 @@ AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, Histo
       history_(history),
       queue_(queue),
       recorder_(recorder),
-      use_peterson_(config.use_peterson_guard),
-      peterson_guard_(static_cast<std::size_t>(std::max(2, config.peterson_slots))),
       slot_stripe_mask_(StripeCountFor(config) - 1),
       slot_stripes_(std::make_unique<SlotStripe[]>(slot_stripe_mask_ + 1)),
       lock_owners_(slot_stripe_mask_ + 1) {
@@ -71,19 +104,13 @@ AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, Histo
 
 AvoidanceEngine::~AvoidanceEngine() = default;
 
-AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine, ThreadId thread)
-    : engine_(engine), thread_(thread) {
+AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine) : engine_(engine) {
   // Epoch entry is rare — with the incremental matcher in front, only cache
   // rebuilds, snapshots, and fast-path validation churn land here — so the
   // wait and hold are *always* measured: the clock reads feed the
   // epoch_entries / epoch_stall_ns / epoch_hold_ns counters that
   // `dimctl status` reports with tracing off.
   const std::uint64_t wait_begin = obs::NowNs();
-  if (engine_.use_peterson_) {
-    assert(static_cast<std::size_t>(thread_) < engine_.peterson_guard_.slots() &&
-           "peterson guard requires thread ids < peterson_slots");
-    engine_.peterson_guard_.Lock(static_cast<std::size_t>(thread_));
-  }
   for (std::size_t i = 0; i <= engine_.slot_stripe_mask_; ++i) {
     engine_.slot_stripes_[i].lock.Lock();
   }
@@ -96,20 +123,15 @@ AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine, ThreadI
 AvoidanceEngine::SlotEpochGuard::~SlotEpochGuard() {
   // Hold time ends where the stripes release; the histogram/ring pushes
   // happen after the unlocks so the export work itself never extends the
-  // epoch. Debug builds assert the configured hold bound — the epoch is
-  // allowed to be slow-path-rare, never slow-path-long.
+  // epoch. Debug builds assert kEpochHoldBound — the epoch is allowed to be
+  // slow-path-rare, never slow-path-long.
   const std::uint64_t end_ns = obs::NowNs();
   const std::uint64_t hold_ns = end_ns - entered_ns_;
   assert(hold_ns <= static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            engine_.config_.epoch_hold_bound)
-                            .count()) &&
-         "stop-the-stripes epoch held past Config::epoch_hold_bound");
+                        std::chrono::nanoseconds(kEpochHoldBound).count()) &&
+         "stop-the-stripes epoch held past kEpochHoldBound");
   for (std::size_t i = engine_.slot_stripe_mask_ + 1; i-- > 0;) {
     engine_.slot_stripes_[i].lock.Unlock();
-  }
-  if (engine_.use_peterson_) {
-    engine_.peterson_guard_.Unlock(static_cast<std::size_t>(thread_));
   }
   engine_.stats_.epoch_hold_ns.fetch_add(hold_ns, std::memory_order_relaxed);
   obs::Recorder* recorder = engine_.recorder_;
@@ -320,7 +342,6 @@ void AvoidanceEngine::RefreshGen() {
   if (config_.stage != EngineStage::kFull) {
     return;
   }
-  const ThreadId me = registry_.RegisterCurrentThread();
   std::lock_guard<SpinLock> sig_guard(sig_mutex_);
   // Read the version before the signatures: if the history mutates during
   // the build, the next staleness check triggers another rebuild.
@@ -358,7 +379,7 @@ void AvoidanceEngine::RefreshGen() {
   {
     // Stop the stripes: recompute every live slot's memberships against the
     // new generation and seed its per-position live counters, then publish.
-    SlotEpochGuard epoch(*this, me);
+    SlotEpochGuard epoch(*this);
     for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
       for (const StackId id : slot_stripes_[s].live) {
         StackSlot* slot = stack_slots_.Get(static_cast<std::size_t>(id));
@@ -415,14 +436,6 @@ void AvoidanceEngine::RefreshGen() {
   }
 }
 
-bool AvoidanceEngine::AnyInstantiationPlausible(const SigGen& gen) const {
-  // §5.6 fast reject: "in most cases, at least one of these sets is empty,
-  // meaning there is no thread holding a lock in that stack configuration,
-  // so the signature is not instantiated." The per-entry dead-position
-  // counters reduce the signature scan to this single load.
-  return gen.fully_live.load(std::memory_order_seq_cst) > 0;
-}
-
 bool AvoidanceEngine::CoverPositions(
     const SigGen::Entry& sig,
     const std::vector<std::vector<std::pair<StackId, AllowedTuple>>>& pools, std::size_t pos,
@@ -452,15 +465,6 @@ bool AvoidanceEngine::CoverPositions(
     cover.chosen_stacks.pop_back();
     cover.used_threads.pop_back();
     cover.used_locks.Pop(tuple.lock);
-  }
-  return false;
-}
-
-bool AvoidanceEngine::IsUpgrade(const ThreadSlot& slot, LockId lock) {
-  for (const ThreadSlot::Held& held : slot.held) {
-    if (held.lock == lock) {
-      return true;
-    }
   }
   return false;
 }
@@ -564,9 +568,9 @@ std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
   // The scratch's pools keep their capacity across searches, so the epoch
   // below copies tuples without allocating once a thread has warmed up.
   FastScratch& scratch = MatchScratch();
-  const bool upgrade = IsUpgrade(slot, lock);
+  const bool upgrade = FindHeld(slot, lock) != nullptr;
   StackSlot* own_slot = SlotFor(stack);
-  SlotEpochGuard epoch(*this, thread);
+  SlotEpochGuard epoch(*this);
   // Cover-search span: how long the matcher held everyone else out looking
   // for an instantiation. aux carries the matched signature (kNoMatchAux on
   // a miss) so a Perfetto query can pin a convoy on one signature.
@@ -678,7 +682,7 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
   // feeds quadratically into how often concurrent requesters see each other
   // as instantiation material.
   FastScratch& scratch = MatchScratch();
-  const bool upgrade = IsUpgrade(slot, lock);
+  const bool upgrade = FindHeld(slot, lock) != nullptr;
   std::uint64_t search_begin = 0;  // set lazily: trivial rejects skip the clock
   const auto record_search = [&](std::int64_t matched_signature) {
     if (search_begin != 0) {
@@ -697,13 +701,15 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     }
     // Candidate signatures: fully live ones the requester's slot can occupy,
     // recorded by the AddTuple that preceded this attempt (the request's own,
-    // or the rollback below). An upgrade re-evaluates every signature: its
-    // held shared tuple can stand in for the new edge.
-    if (upgrade) {
-      CollectCandidates(gen, nullptr, &scratch.cands);
-    } else if (scratch.own_version != gen.version) {
+    // or the rollback below) — stale when a rebuild republished since. An
+    // upgrade re-evaluates every signature: its held shared tuple can stand
+    // in for the new edge.
+    if (scratch.own_version != gen.version) {
       record_search(-1);
       return FastMatchOutcome::kFallback;
+    }
+    if (upgrade) {
+      CollectCandidates(gen, nullptr, &scratch.cands);
     }
     const std::vector<std::size_t>& cands = upgrade ? scratch.cands : scratch.own_cands;
     if (cands.empty()) {
@@ -777,12 +783,7 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
   return FastMatchOutcome::kFallback;
 }
 
-RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMode mode,
-                                         std::optional<MonoTime> deadline) {
-  ScopedEngineEntry entry;
-  if (!config_.enabled || entry.nested()) {
-    return RequestDecision::kGo;
-  }
+ThreadSlot& AvoidanceEngine::BeginRequest(ThreadId thread) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   ThreadSlot& slot = registry_.Slot(thread);
   // Acquire-latency span opens here and closes in Acquired(): it covers the
@@ -791,62 +792,102 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
   if (recorder_ != nullptr && recorder_->timing()) {
     slot.acquire_begin_ns = obs::NowNs();
   }
+  return slot;
+}
 
+GlobalEdgePublisher* AvoidanceEngine::PublisherFor(LockId lock) const {
   // Global locks (IPC arena wired in, id carries kGlobalLockBit) get their
   // stacks proc-qualified and their wait/hold edges published fleet-wide;
-  // for local locks `pub` stays null after one predictable branch.
+  // for local locks this is one predictable branch.
   GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
-  if (pub != nullptr && !IsGlobalLockId(lock)) {
-    pub = nullptr;
+  return pub != nullptr && IsGlobalLockId(lock) ? pub : nullptr;
+}
+
+RequestDecision AvoidanceEngine::Grant(ThreadSlot& slot, ThreadId thread, LockId lock,
+                                       StackId stack, AcquireMode mode) {
+  BufferHotEvent(slot, MakeEvent(EventType::kAllow, thread, lock, stack, mode));
+  stats_.gos.fetch_add(1, std::memory_order_relaxed);
+  return RequestDecision::kGo;
+}
+
+std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::Decide(
+    ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
+    bool yield_on_match) {
+  if (config_.stage != EngineStage::kFull) {
+    return std::nullopt;
   }
+  // The hazard ref pins the generation (and its live counters) across the
+  // incremental scan, which embeds the §5.6 fast reject.
+  const SigGen* gen = AcquireGenRef(slot);
+  if (gen->version != history_->version()) {
+    ReleaseGenRef(slot);
+    RefreshGen();
+    gen = AcquireGenRef(slot);
+  }
+  MatchResult fast;
+  const FastMatchOutcome outcome =
+      TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &fast);
+  ReleaseGenRef(slot);
+  std::optional<MatchResult> match;
+  if (outcome == FastMatchOutcome::kMatched) {
+    match = std::move(fast);
+  } else if (outcome == FastMatchOutcome::kFallback) {
+    stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
+    match = MatchAndRetire(thread, lock, stack, slot, yield_on_match);
+  }
+  if (match.has_value() && yield_count_.load(std::memory_order_seq_cst) > 0) {
+    // Our own allow edge was just retired (a YIELD flips it into a request
+    // edge, a kBusy drops it): any thread whose matched cover named it is
+    // parked on an instantiation that no longer stands. Wake it to re-decide
+    // now instead of riding out its yield timeout — spurious wakes are
+    // harmless (the full request protocol reruns).
+    WakeYieldersOf(thread, lock, stack);
+  }
+  return match;
+}
+
+RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMode mode,
+                                         std::optional<MonoTime> deadline) {
+  ScopedEngineEntry entry;
+  if (!config_.enabled || entry.nested()) {
+    return RequestDecision::kGo;
+  }
+  ThreadSlot& slot = BeginRequest(thread);
 
   if (config_.stage == EngineStage::kInstrumentationOnly) {
     // Figure 8 stage 1: intercept + capture + events only.
     const StackId stack = stacks_->Intern(CaptureStack());
     slot.pending_stack = stack;
     slot.pending_lock = lock;
-    Event ev;
-    ev.type = EventType::kAllow;
-    ev.thread = thread;
-    ev.lock = lock;
-    ev.stack = stack;
-    ev.mode = mode;
-    queue_->Push(ev);
+    queue_->Push(MakeEvent(EventType::kAllow, thread, lock, stack, mode));
     stats_.gos.fetch_add(1, std::memory_order_relaxed);
     return RequestDecision::kGo;
   }
 
+  GlobalEdgePublisher* pub = PublisherFor(lock);
+  // Global-lock stacks are proc-qualified. The capture stays alive until the
+  // request returns: freeing it before the match measurably lengthened the
+  // acquire path.
   std::vector<Frame> captured = CaptureStack();
   if (pub != nullptr) {
     captured.insert(captured.begin(), pub->ProcFrame());
   }
   const StackId stack = stacks_->Intern(captured);
+  // A broken or timed-out request withdraws its published wait edge.
+  const auto abandon = [&](RequestDecision decision) {
+    if (pub != nullptr) {
+      pub->ClearWait(thread, lock);
+    }
+    return decision;
+  };
 
   for (;;) {
     if (slot.acquisition_canceled.load(std::memory_order_acquire)) {
       slot.acquisition_canceled.store(false, std::memory_order_release);
       stats_.broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-      if (pub != nullptr) {
-        pub->ClearWait(thread, lock);
-      }
-      return RequestDecision::kBroken;
+      return abandon(RequestDecision::kBroken);
     }
-
-    // Reentrant acquisition can never deadlock; skip avoidance (§6: a thread
-    // re-entering a monitor returns immediately). An exclusive owner
-    // re-requesting in any mode and a shared holder re-requesting shared are
-    // reentrant; a shared holder requesting exclusive is an *upgrade* and
-    // runs the full protocol — upgrade cycles are exactly the rwlock
-    // deadlocks the engine must see. The thread's own holds live in its
-    // slot, so this needs no lock-owner stripe round trip.
-    bool reentrant = false;
-    for (const ThreadSlot::Held& held : slot.held) {
-      if (held.lock == lock) {
-        reentrant = held.mode == AcquireMode::kExclusive || mode == AcquireMode::kShared;
-        break;
-      }
-    }
-    if (reentrant) {
+    if (IsReentrant(slot, lock, mode)) {
       stats_.reentrant_acquisitions.fetch_add(1, std::memory_order_relaxed);
       return RequestDecision::kReentrant;
     }
@@ -862,72 +903,23 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
     }
 
     std::optional<MatchResult> match;
-    const bool skip_once = slot.skip_avoidance_once.exchange(false, std::memory_order_acq_rel);
-    if (config_.stage == EngineStage::kFull && !skip_once) {
-      const SigGen* gen = AcquireGenRef(slot);
-      if (gen->version != history_->version()) {
-        ReleaseGenRef(slot);
-        RefreshGen();
-        gen = AcquireGenRef(slot);
-      }
-      const bool yield_on_match = !config_.ignore_yield_decisions;
-      bool need_epoch = false;
-      if (config_.incremental_matcher) {
-        // Decide from per-stripe snapshots; the hazard ref pins `gen` (and
-        // its live counters) across the scan. The scan embeds the §5.6 fast
-        // reject, so no separate plausibility pre-pass runs here.
-        MatchResult fast;
-        switch (
-            TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &fast)) {
-          case FastMatchOutcome::kMatched:
-            match = std::move(fast);
-            break;
-          case FastMatchOutcome::kNoMatch:
-            break;
-          case FastMatchOutcome::kFallback:
-            need_epoch = true;
-            break;
-        }
-      } else if (AnyInstantiationPlausible(*gen)) {
-        need_epoch = true;
-      }
-      ReleaseGenRef(slot);
-      if (need_epoch) {
-        stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
-        match = MatchAndRetire(thread, lock, stack, slot, yield_on_match);
-      }
-      if (match.has_value() && yield_on_match &&
-          yield_count_.load(std::memory_order_seq_cst) > 0) {
-        // Our own allow edge was just retired (the YIELD flips it into a
-        // request edge): any thread whose matched cover named it is parked
-        // on an instantiation that no longer stands. Wake it to re-decide
-        // now instead of riding out its yield timeout — spurious wakes are
-        // harmless (the full request protocol reruns).
-        WakeYieldersOf(thread, lock, stack);
-      }
+    if (!slot.skip_avoidance_once.exchange(false, std::memory_order_acq_rel)) {
+      match = Decide(thread, lock, mode, stack, slot, !config_.ignore_yield_decisions);
       if (pub != nullptr) {
         DIMMUNIX_LOG(kDebug) << "global request: thread " << thread << " lock " << lock
                              << " stack " << stack << " matched=" << match.has_value();
       }
     }
-
-    if (!match.has_value() || config_.ignore_yield_decisions) {
-      if (match.has_value()) {
-        // Table 1's middle configuration: the decision is computed and
-        // counted but not enforced. MatchAndRetire retired the allow edge;
-        // restore it, since the thread proceeds to blocking on the lock.
-        stats_.yields.fetch_add(1, std::memory_order_relaxed);
-        AddTuple(stack, AllowedTuple{thread, lock, false, mode});
-      }
-      Event allow_ev;
-      allow_ev.type = EventType::kAllow;
-      allow_ev.thread = thread;
-      allow_ev.lock = lock;
-      allow_ev.stack = stack;
-      allow_ev.mode = mode;
-      BufferHotEvent(slot, std::move(allow_ev));
-      stats_.gos.fetch_add(1, std::memory_order_relaxed);
-      return RequestDecision::kGo;
+    if (!match.has_value()) {
+      return Grant(slot, thread, lock, stack, mode);
+    }
+    if (config_.ignore_yield_decisions) {
+      // Table 1's middle configuration: the decision is computed and counted
+      // but not enforced. The match retired the allow edge; restore it, since
+      // the thread proceeds to blocking on the lock.
+      stats_.yields.fetch_add(1, std::memory_order_relaxed);
+      AddTuple(stack, AllowedTuple{thread, lock, false, mode});
+      return Grant(slot, thread, lock, stack, mode);
     }
 
     // The kRequest event is only pushed on the yield path: for an immediate
@@ -937,29 +929,13 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
     // so the staged hot events (this thread's current holds) flush first,
     // keeping the RAG's view of the yielder complete and in order.
     FlushThreadEvents(slot);
-    Event request_ev;
-    request_ev.type = EventType::kRequest;
-    request_ev.thread = thread;
-    request_ev.lock = lock;
-    request_ev.stack = stack;
-    request_ev.mode = mode;
-    queue_->Push(request_ev);
+    queue_->Push(MakeEvent(EventType::kRequest, thread, lock, stack, mode));
 
-    Event yield_ev;
-    yield_ev.type = EventType::kYield;
-    yield_ev.thread = thread;
-    yield_ev.lock = lock;
-    yield_ev.stack = stack;
-    yield_ev.mode = mode;
+    Event yield_ev = MakeEvent(EventType::kYield, thread, lock, stack, mode);
     yield_ev.causes = match->others;
     queue_->Push(yield_ev);
 
-    Event avoided_ev;
-    avoided_ev.type = EventType::kAvoided;
-    avoided_ev.thread = thread;
-    avoided_ev.lock = lock;
-    avoided_ev.stack = stack;
-    avoided_ev.mode = mode;
+    Event avoided_ev = MakeEvent(EventType::kAvoided, thread, lock, stack, mode);
     avoided_ev.signature_index = match->signature_index;
     avoided_ev.match_depth = match->depth;
     avoided_ev.deepest_match_depth = match->deepest;
@@ -1000,14 +976,7 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
     }
 
     UnregisterYield(thread, slot);
-
-    Event wake_ev;
-    wake_ev.type = EventType::kWake;
-    wake_ev.thread = thread;
-    wake_ev.lock = lock;
-    wake_ev.stack = stack;
-    wake_ev.mode = mode;
-    queue_->Push(wake_ev);
+    queue_->Push(MakeEvent(EventType::kWake, thread, lock, stack, mode));
     stats_.wakes.fetch_add(1, std::memory_order_relaxed);
 
     if (park_result == 1) {
@@ -1027,28 +996,14 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
       AddTuple(stack, AllowedTuple{thread, lock, false, mode});
       slot.pending_stack = stack;
       slot.pending_lock = lock;
-      Event allow_ev;
-      allow_ev.type = EventType::kAllow;
-      allow_ev.thread = thread;
-      allow_ev.lock = lock;
-      allow_ev.stack = stack;
-      allow_ev.mode = mode;
-      BufferHotEvent(slot, std::move(allow_ev));
-      stats_.gos.fetch_add(1, std::memory_order_relaxed);
-      return RequestDecision::kGo;
+      return Grant(slot, thread, lock, stack, mode);
     }
     if (park_result == 2) {
       stats_.broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-      if (pub != nullptr) {
-        pub->ClearWait(thread, lock);
-      }
-      return RequestDecision::kBroken;
+      return abandon(RequestDecision::kBroken);
     }
     if (park_result == 3) {
-      if (pub != nullptr) {
-        pub->ClearWait(thread, lock);
-      }
-      return RequestDecision::kTimedOut;
+      return abandon(RequestDecision::kTimedOut);
     }
     // Woken (or starvation-broken): retry the request from scratch.
   }
@@ -1060,29 +1015,14 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
   if (!config_.enabled || entry.nested()) {
     return RequestDecision::kGo;
   }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  ThreadSlot& slot = registry_.Slot(thread);
-  if (recorder_ != nullptr && recorder_->timing()) {
-    slot.acquire_begin_ns = obs::NowNs();
-  }
-  GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
-  if (pub != nullptr && !IsGlobalLockId(lock)) {
-    pub = nullptr;
-  }
+  ThreadSlot& slot = BeginRequest(thread);
+  GlobalEdgePublisher* pub = PublisherFor(lock);
   std::vector<Frame> captured = CaptureStack();
   if (pub != nullptr) {
     captured.insert(captured.begin(), pub->ProcFrame());
   }
   const StackId stack = stacks_->Intern(captured);
-
-  bool reentrant = false;
-  for (const ThreadSlot::Held& held : slot.held) {
-    if (held.lock == lock) {
-      reentrant = held.mode == AcquireMode::kExclusive || mode == AcquireMode::kShared;
-      break;
-    }
-  }
-  if (reentrant) {
+  if (IsReentrant(slot, lock, mode)) {
     stats_.reentrant_acquisitions.fetch_add(1, std::memory_order_relaxed);
     return RequestDecision::kReentrant;  // caller resolves against lock kind
   }
@@ -1094,61 +1034,20 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     pub->PublishWait(thread, lock, stack, mode);
   }
 
-  if (config_.stage == EngineStage::kFull && !config_.ignore_yield_decisions) {
-    const SigGen* gen = AcquireGenRef(slot);
-    if (gen->version != history_->version()) {
-      ReleaseGenRef(slot);
-      RefreshGen();
-      gen = AcquireGenRef(slot);
-    }
-    std::optional<MatchResult> match;
-    bool need_epoch = false;
-    if (config_.incremental_matcher) {
-      MatchResult fast;
-      switch (TryMatchIncremental(thread, lock, mode, stack, slot, /*yield_on_match=*/false, *gen,
-                                  &fast)) {
-        case FastMatchOutcome::kMatched:
-          match = std::move(fast);
-          break;
-        case FastMatchOutcome::kNoMatch:
-          break;
-        case FastMatchOutcome::kFallback:
-          need_epoch = true;
-          break;
-      }
-    } else if (AnyInstantiationPlausible(*gen)) {
-      need_epoch = true;
-    }
-    ReleaseGenRef(slot);
-    if (need_epoch) {
-      stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
-      match = MatchAndRetire(thread, lock, stack, slot, /*yield_on_match=*/false);
-    }
-    if (match.has_value()) {
+  if (!config_.ignore_yield_decisions) {
+    if (const std::optional<MatchResult> match =
+            Decide(thread, lock, mode, stack, slot, /*yield_on_match=*/false)) {
+      // The kBusy answer permanently retires our allow edge.
       stats_.yields.fetch_add(1, std::memory_order_relaxed);
       history_->RecordAvoidance(match->signature_index);
       last_avoided_.store(match->signature_index, std::memory_order_relaxed);
-      // The kBusy answer permanently retires our allow edge; yielders whose
-      // cover named it can re-decide now.
-      if (yield_count_.load(std::memory_order_seq_cst) > 0) {
-        WakeYieldersOf(thread, lock, stack);
-      }
       if (pub != nullptr) {
         pub->ClearWait(thread, lock);
       }
       return RequestDecision::kBusy;  // refuse to enter the dangerous pattern
     }
   }
-
-  Event allow_ev;
-  allow_ev.type = EventType::kAllow;
-  allow_ev.thread = thread;
-  allow_ev.lock = lock;
-  allow_ev.stack = stack;
-  allow_ev.mode = mode;
-  BufferHotEvent(slot, std::move(allow_ev));
-  stats_.gos.fetch_add(1, std::memory_order_relaxed);
-  return RequestDecision::kGo;
+  return Grant(slot, thread, lock, stack, mode);
 }
 
 void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
@@ -1200,13 +1099,10 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
     if (upgrade_retire && slot.pending_stack != kInvalidStackId) {
       RemoveTuple(slot.pending_stack, thread, lock, /*held=*/false);
     }
-    for (auto& held : slot.held) {
-      if (held.lock == lock) {
-        ++held.count;
-        if (upgrade_retire) {
-          held.mode = AcquireMode::kExclusive;  // committed upgrade
-        }
-        break;
+    if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr) {
+      ++held->count;
+      if (upgrade_retire) {
+        held->mode = AcquireMode::kExclusive;  // committed upgrade
       }
     }
   } else {
@@ -1231,19 +1127,12 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
       }
     }
   }
-  if (GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
-      pub != nullptr && IsGlobalLockId(lock)) {
+  if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr) {
     // Promotes the published wait row to a hold (reentrant holds bump the
     // row's count), making the acquisition visible fleet-wide.
     pub->PublishHold(thread, lock, stack, mode);
   }
-  Event ev;
-  ev.type = EventType::kAcquired;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  BufferHotEvent(slot, std::move(ev));
+  BufferHotEvent(slot, MakeEvent(EventType::kAcquired, thread, lock, stack, mode));
   stats_.acquisitions.fetch_add(1, std::memory_order_relaxed);
   if (slot.acquire_begin_ns != 0) {
     const std::uint64_t end_ns = obs::NowNs();
@@ -1308,16 +1197,10 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
       }
     }
   });
-  for (auto it = slot.held.begin(); it != slot.held.end(); ++it) {
-    if (it->lock == lock) {
-      if (--it->count <= 0) {
-        slot.held.erase(it);
-      }
-      break;
-    }
+  if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr && --held->count <= 0) {
+    slot.held.erase(slot.held.begin() + (held - slot.held.data()));
   }
-  if (GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
-      pub != nullptr && IsGlobalLockId(lock) && stack != kInvalidStackId) {
+  if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr && stack != kInvalidStackId) {
     // Arena rows carry the reentrancy count, so every release of a held
     // global lock maps to one ClearHold; the row frees when the count hits
     // zero — exactly when final_release fires here.
@@ -1335,13 +1218,7 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
       WakeYieldersOf(thread, lock, stack);
     }
   }
-  Event ev;
-  ev.type = EventType::kRelease;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  BufferHotEvent(slot, std::move(ev));
+  BufferHotEvent(slot, MakeEvent(EventType::kRelease, thread, lock, stack, mode));
   stats_.releases.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -1360,17 +1237,10 @@ void AvoidanceEngine::CancelRequest(ThreadId thread, LockId lock, AcquireMode mo
       WakeYieldersOf(thread, lock, stack);
     }
   }
-  if (GlobalEdgePublisher* pub = global_pub_.load(std::memory_order_acquire);
-      pub != nullptr && IsGlobalLockId(lock)) {
+  if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr) {
     pub->ClearWait(thread, lock);
   }
-  Event ev;
-  ev.type = EventType::kCancel;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  BufferHotEvent(slot, std::move(ev));
+  BufferHotEvent(slot, MakeEvent(EventType::kCancel, thread, lock, stack, mode));
   stats_.trylock_cancels.fetch_add(1, std::memory_order_relaxed);
   if (slot.acquire_begin_ns != 0) {
     const std::uint64_t end_ns = obs::NowNs();
@@ -1504,13 +1374,7 @@ void AvoidanceEngine::MirrorForeignWait(ThreadId thread, LockId lock, StackId st
   AddTuple(stack, AllowedTuple{thread, lock, false, mode});
   DIMMUNIX_LOG(kDebug) << "foreign wait: thread " << thread << " lock " << lock << " stack "
                        << stack << " (" << stacks_->Describe(stack) << ")";
-  Event ev;
-  ev.type = EventType::kAllow;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  queue_->Push(ev);
+  queue_->Push(MakeEvent(EventType::kAllow, thread, lock, stack, mode));
 }
 
 void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId stack,
@@ -1525,13 +1389,7 @@ void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId
   if (yield_count_.load(std::memory_order_seq_cst) > 0) {
     WakeYieldersOf(thread, lock, stack);
   }
-  Event ev;
-  ev.type = EventType::kCancel;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  queue_->Push(ev);
+  queue_->Push(MakeEvent(EventType::kCancel, thread, lock, stack, mode));
 }
 
 void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId stack,
@@ -1590,13 +1448,7 @@ void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId st
   }
   DIMMUNIX_LOG(kDebug) << "foreign hold: thread " << thread << " lock " << lock << " stack "
                        << stack << " (" << stacks_->Describe(stack) << ")";
-  Event ev;
-  ev.type = EventType::kAcquired;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  queue_->Push(ev);
+  queue_->Push(MakeEvent(EventType::kAcquired, thread, lock, stack, mode));
 }
 
 void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId stack,
@@ -1631,13 +1483,7 @@ void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId
       WakeYieldersOf(thread, lock, stack);
     }
   }
-  Event ev;
-  ev.type = EventType::kRelease;
-  ev.thread = thread;
-  ev.lock = lock;
-  ev.stack = stack;
-  ev.mode = mode;
-  queue_->Push(ev);
+  queue_->Push(MakeEvent(EventType::kRelease, thread, lock, stack, mode));
 }
 
 int AvoidanceEngine::Park(ThreadSlot& slot, std::optional<MonoTime> deadline) {
@@ -1705,11 +1551,10 @@ std::size_t AvoidanceEngine::AllowedCount(StackId id) const {
 }
 
 EngineView AvoidanceEngine::Snapshot() {
-  const ThreadId me = registry_.RegisterCurrentThread();
   EngineView view;
   view.stripes = stripe_count();
   {
-    SlotEpochGuard epoch(*this, me);
+    SlotEpochGuard epoch(*this);
     view.signature_generation = CurrentGen()->version;
     for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
       view.live_stacks += slot_stripes_[s].live.size();

@@ -27,9 +27,9 @@
 //
 // A hot-path operation holds at most one stripe lock at a time. The only
 // paths that need a consistent cross-stripe view take the "stop-the-
-// stripes" epoch — every slot stripe in ascending order (optionally behind
-// the §5.6 Peterson filter): the authoritative signature-instantiation
-// search, signature-cache rebuilds after a history change, and Snapshot().
+// stripes" epoch — every slot stripe in ascending order: the authoritative
+// signature-instantiation search, signature-cache rebuilds after a history
+// change, and Snapshot().
 //
 // Matching stays off the epoch in the common case: each signature-cache
 // generation keeps one atomic live-tuple counter per signature position,
@@ -51,8 +51,7 @@
 // The stop-the-stripes epoch survives only as the rare slow path: cache
 // rebuilds after history changes, Snapshot(), and fast-path validation
 // churn (bounded retries, then the epoch arbitrates). Its hold time is
-// counted (epoch_hold_ns) and bounded by Config::epoch_hold_bound in debug
-// builds.
+// counted (epoch_hold_ns) and bounded by kEpochHoldBound in debug builds.
 //
 // Lock ordering (outermost first):
 //   sig_mutex_ -> slot stripes (ascending) -> owner stripes (ascending)
@@ -74,7 +73,6 @@
 #include "src/common/atomic_slab.h"
 #include "src/common/clock.h"
 #include "src/common/config.h"
-#include "src/common/peterson_lock.h"
 #include "src/common/spin_lock.h"
 #include "src/common/striped_map.h"
 #include "src/core/global_port.h"
@@ -442,23 +440,27 @@ class AvoidanceEngine {
     std::vector<YieldCause> others;   // the signature instance minus the requester
   };
 
-  // Locks every slot stripe in ascending order (behind the Peterson filter
-  // when configured); the holder has a consistent view of all Allowed sets.
+  // Locks every slot stripe in ascending order; the holder has a consistent
+  // view of all Allowed sets.
   class SlotEpochGuard {
    public:
-    SlotEpochGuard(AvoidanceEngine& engine, ThreadId thread);
+    explicit SlotEpochGuard(AvoidanceEngine& engine);
     ~SlotEpochGuard();
     SlotEpochGuard(const SlotEpochGuard&) = delete;
     SlotEpochGuard& operator=(const SlotEpochGuard&) = delete;
 
    private:
     AvoidanceEngine& engine_;
-    ThreadId thread_;
     // Steady-clock ns when the last stripe lock was taken; the destructor
     // turns it into the epoch-hold histogram sample and kEpoch trace span.
     std::uint64_t entered_ns_ = 0;
     std::uint64_t stall_ns_ = 0;  // time spent waiting to enter
   };
+  // Upper bound on how long any epoch may be held, asserted in debug builds
+  // (release builds only count epoch_hold_ns). Generous by design: it exists
+  // to catch reintroduced unbounded epoch work, not scheduler noise or
+  // sanitizer slowdowns.
+  static constexpr std::chrono::milliseconds kEpochHoldBound{1000};
 
   std::size_t StripeIndexOf(StackId stack) const {
     return static_cast<std::size_t>(MixHash64(static_cast<std::uint64_t>(stack))) &
@@ -507,9 +509,15 @@ class AvoidanceEngine {
   // frees retired generations no thread still references.
   void RefreshGen();
 
-  // Fast reject (§5.6): true when every position of at least one signature
-  // has a live tuple — only then can an instantiation exist. Lock-free.
-  bool AnyInstantiationPlausible(const SigGen& gen) const;
+  // The decide step shared by Request and RequestNonblocking, run after the
+  // requester's tentative allow tuple is in place: pins the signature-cache
+  // generation (rebuilding it if the history moved), runs the incremental
+  // matcher, and falls back to the epoch (MatchAndRetire) when that cannot
+  // decide. On a match the allow tuple is retired (and, with
+  // yield_on_match, the yield registered), and yielders whose cover named
+  // that tuple are woken to re-decide. Matches only in EngineStage::kFull.
+  std::optional<MatchResult> Decide(ThreadId thread, LockId lock, AcquireMode mode,
+                                    StackId stack, ThreadSlot& slot, bool yield_on_match);
 
   // Authoritative search under the epoch. On a match in blocking mode
   // (yield_on_match), atomically retires the requester's allow tuple and
@@ -519,10 +527,16 @@ class AvoidanceEngine {
   std::optional<MatchResult> MatchAndRetire(ThreadId thread, LockId lock, StackId stack,
                                             ThreadSlot& slot, bool yield_on_match);
 
-  // True when `thread` already holds `lock` (the request is a shared ->
-  // exclusive upgrade): its held shared tuple can then serve as the
-  // instance's requester edge, so candidates cannot be scoped to its slot.
-  static bool IsUpgrade(const ThreadSlot& slot, LockId lock);
+  // The publisher for `lock`: null unless an IPC arena is wired in and the
+  // id carries kGlobalLockBit.
+  GlobalEdgePublisher* PublisherFor(LockId lock) const;
+  // The request-side bookkeeping shared by both request forms: counts the
+  // request and opens the acquire-latency span, which closes in Acquired().
+  ThreadSlot& BeginRequest(ThreadId thread);
+  // Grants the request: stages its kAllow event and counts the GO.
+  RequestDecision Grant(ThreadSlot& slot, ThreadId thread, LockId lock, StackId stack,
+                        AcquireMode mode);
+
   // Copies the live tuples of every position of `cands` into scratch.pools.
   // With `lock_stripes` (incremental matcher) each stripe is locked in turn
   // and its version recorded in scratch.scan_versions, and a live slot whose
@@ -589,8 +603,6 @@ class AvoidanceEngine {
   ThreadRegistry registry_;
   EngineStats stats_;
 
-  const bool use_peterson_;
-  PetersonLock peterson_guard_;
   // Null unless the runtime wired an IPC arena in (Config::ipc_path).
   std::atomic<GlobalEdgePublisher*> global_pub_{nullptr};
 

@@ -97,8 +97,8 @@ class GlobalEdgePublisher {
   // Drains any deferred edge publications to the arena NOW. The engine
   // calls this right before parking a thread: local contention means our
   // pending edges may be part of a cross-process cycle, so they must stop
-  // hiding in the batch. Default no-op for publishers that publish eagerly.
-  virtual void FlushPending() {}
+  // hiding in the batch.
+  virtual void FlushPending() = 0;
 };
 
 }  // namespace dimmunix

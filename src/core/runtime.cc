@@ -39,21 +39,7 @@ Runtime::Runtime(Config config) : config_(std::move(config)) {
       config_.trace_ring_size > 0 ? config_.trace_ring_size : 8192);
   rec_options.metrics_enabled = config_.metrics_enabled;
   recorder_ = std::make_unique<obs::Recorder>(rec_options);
-  obs::HealthThresholds health_thresholds;
-  health_thresholds.retry_ratio = config_.health_retry_ratio;
-  health_thresholds.epoch_stall_pct = config_.health_epoch_stall_pct;
-  health_thresholds.ipc_backlog = static_cast<std::uint64_t>(
-      config_.health_ipc_backlog > 0 ? config_.health_ipc_backlog : 0);
-  health_thresholds.ipc_flush_p99_us = static_cast<std::uint64_t>(
-      config_.health_ipc_flush_p99_us > 0 ? config_.health_ipc_flush_p99_us : 0);
-  health_thresholds.arena_pct = config_.health_arena_pct;
-  health_thresholds.ring_drops_per_s = config_.health_ring_drops_per_s;
-  health_thresholds.store_queue =
-      static_cast<std::uint64_t>(config_.health_store_queue > 0 ? config_.health_store_queue : 0);
-  health_thresholds.resync_stale_x = config_.health_resync_stale_x;
-  health_thresholds.fire_ticks = config_.health_fire_ticks;
-  health_thresholds.resolve_ticks = config_.health_resolve_ticks;
-  health_ = std::make_unique<obs::HealthEngine>(health_thresholds);
+  health_ = std::make_unique<obs::HealthEngine>(obs::HealthThresholds{});
   obs::IncidentLog::Options incident_options;
   incident_options.dir = config_.incident_dir;
   incident_options.max_files = config_.incident_max;
@@ -88,7 +74,6 @@ Runtime::Runtime(Config config) : config_(std::move(config)) {
     ipc::IpcBridge::Options ipc_options;
     ipc_options.arena_path = config_.ipc_path;
     ipc_options.period = config_.ipc_bridge_period;
-    ipc_options.flush = config_.ipc_flush_period;
     ipc_ = std::make_unique<ipc::IpcBridge>(ipc_options, engine_.get(), stacks_.get(),
                                             recorder_.get());
     std::string error;
@@ -250,11 +235,9 @@ std::string Runtime::RuntimeIncidentJson() {
 
 void Runtime::HealthLoop() {
   recorder_->NameThisThread("dimmunix-health");
-  const auto period = config_.health_period.count() > 0
-                          ? config_.health_period
-                          : (config_.monitor_period.count() > 0
-                                 ? config_.monitor_period
-                                 : std::chrono::milliseconds(100));
+  // The evaluator ticks on τ.
+  const auto period = config_.monitor_period.count() > 0 ? config_.monitor_period
+                                                         : std::chrono::milliseconds(100);
   std::unique_lock<std::mutex> stop_guard(health_stop_m_);
   while (!health_stop_requested_) {
     stop_guard.unlock();

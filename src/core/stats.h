@@ -77,12 +77,12 @@ struct EngineStats {
   ShardedCounter depth_true_yields;
   ShardedCounter depth_fp_yields;
   // Stop-the-stripes accounting (always on): entries into the slot epoch,
-  // the total time spent waiting for the Peterson filter + every stripe lock
-  // before each entry, and the total time the epoch was then held. With the
-  // incremental matcher the epoch is the rare slow path, so epoch_entries
-  // staying near zero under load is itself the signal that the tail fix
-  // holds; the per-entry hold distribution is on the obs epoch-hold
-  // histogram and bounded by Config::epoch_hold_bound in debug builds.
+  // the total time spent waiting for every stripe lock before each entry,
+  // and the total time the epoch was then held. With the incremental
+  // matcher the epoch is the rare slow path, so epoch_entries staying near
+  // zero under load is itself the signal that the tail fix holds; the
+  // per-entry hold distribution is on the obs epoch-hold histogram and
+  // bounded by AvoidanceEngine::kEpochHoldBound in debug builds.
   ShardedCounter epoch_entries;
   ShardedCounter epoch_stall_ns;
   ShardedCounter epoch_hold_ns;

@@ -154,12 +154,22 @@ __attribute__((constructor)) void PreloadInit() {
   initialized.store(true, std::memory_order_release);
 }
 
+// fork() from a threaded host copies the runtime's spin locks as the other
+// threads left them. A forked child's first lock operation always interns a
+// new stack, so a stack-table lock held by a monitor, health or store thread
+// at the fork would make that child spin forever.
+void ForkPrepare() { dimmunix::Runtime::Global().stacks().LockForFork(); }
+void ForkRelease() { dimmunix::Runtime::Global().stacks().UnlockAfterFork(); }
+
 dimmunix::Runtime* TryRuntime() {
   if (!initialized.load(std::memory_order_acquire) || tls_in_hook) {
     return nullptr;
   }
   tls_in_hook = true;
   dimmunix::Runtime* runtime = &dimmunix::Runtime::Global();
+  // Registered once the runtime exists, so the handlers never construct it.
+  static const bool fork_handlers = pthread_atfork(ForkPrepare, ForkRelease, ForkRelease) == 0;
+  (void)fork_handlers;
   tls_in_hook = false;
   return runtime;
 }

@@ -94,15 +94,10 @@ void IpcBridge::Loop() {
     recorder_->NameThisThread("dimmunix-bridge");
   }
   // Two cadences on one thread: the mirror pass every `period`, the
-  // pending-log drain every `flush` (usually much shorter). Wake at the
+  // pending-log drain every kFlushPeriod (usually much shorter). Wake at the
   // faster of the two; run a full Tick only when the mirror deadline has
   // passed, a bare FlushPending otherwise.
-  const bool batching = options_.flush.count() > 0;
-  const auto wake = batching && options_.flush < options_.period
-                        ? std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                              options_.flush)
-                        : std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                              options_.period);
+  const auto wake = std::min<std::chrono::steady_clock::duration>(kFlushPeriod, options_.period);
   auto next_tick = std::chrono::steady_clock::now() + options_.period;
   std::unique_lock<std::mutex> guard(stop_m_);
   while (!stop_requested_) {
@@ -443,34 +438,18 @@ void IpcBridge::FlushPending() {
 }
 
 void IpcBridge::PublishWait(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
-  if (options_.flush.count() == 0) {
-    arena_->PublishWait(thread, lock, mode, stacks_->Get(stack).frames, LookupLockRange(lock));
-    return;
-  }
   Append(thread, lock, OpKind::kWait, stack, mode);
 }
 
 void IpcBridge::ClearWait(ThreadId thread, LockId lock) {
-  if (options_.flush.count() == 0) {
-    arena_->ClearWait(thread, lock);
-    return;
-  }
   Append(thread, lock, OpKind::kClearWait, kInvalidStackId, AcquireMode::kExclusive);
 }
 
 void IpcBridge::PublishHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
-  if (options_.flush.count() == 0) {
-    arena_->PublishHold(thread, lock, mode, stacks_->Get(stack).frames, LookupLockRange(lock));
-    return;
-  }
   Append(thread, lock, OpKind::kHold, stack, mode);
 }
 
 void IpcBridge::ClearHold(ThreadId thread, LockId lock) {
-  if (options_.flush.count() == 0) {
-    arena_->ClearHold(thread, lock);
-    return;
-  }
   Append(thread, lock, OpKind::kClearHold, kInvalidStackId, AcquireMode::kExclusive);
 }
 

@@ -7,9 +7,8 @@
 //     wait/hold transitions of global locks are *logged* into a per-process
 //     pending op-log (a SpinLock'd map, no arena traffic) and drained to
 //     this process's arena rows in batches — on contention (the engine
-//     flushes before parking), on a short flush timer
-//     (DIMMUNIX_IPC_FLUSH_US, default 2ms; 0 = eager v1 behavior), or when
-//     the backlog crosses a cap. Uncontended acquire/release pairs coalesce
+//     flushes before parking), on a fixed 2 ms flush timer
+//     (kFlushPeriod), or when the backlog crosses a cap. Uncontended acquire/release pairs coalesce
 //     to nothing, so the uncontended global fast path never touches the
 //     arena. The price is a publication lag bounded by one flush epoch;
 //     docs/ipc-arena.md states the resulting detectability bound.
@@ -74,12 +73,6 @@ class IpcBridge : public GlobalEdgePublisher {
   struct Options {
     std::string arena_path;
     std::chrono::milliseconds period{25};
-    // Pending-log drain cadence (DIMMUNIX_IPC_FLUSH_US). 0 disables
-    // batching entirely: every publisher call writes the arena eagerly, the
-    // v1 behavior. The engine additionally flushes before parking and the
-    // log self-flushes past kPendingFlushCap, so this timer only bounds how
-    // long an *uncontended* edge stays unpublished.
-    std::chrono::microseconds flush{2000};
     int sweep_every = 8;         // liveness sweep every N ticks
     bool start_thread = true;    // false: tests drive Tick() themselves
   };
@@ -124,11 +117,15 @@ class IpcBridge : public GlobalEdgePublisher {
   // Drains the pending op-log into the arena. Safe from any thread; the
   // engine calls it right before parking a global-lock waiter so a forming
   // cross-process cycle becomes arena-visible without waiting for the
-  // timer. No-op when the log is empty or batching is off.
+  // timer. No-op when the log is empty.
   void FlushPending() override;
 
   // Backlog size that triggers an inline flush from the publishing thread.
   static constexpr std::size_t kPendingFlushCap = 512;
+  // Pending-log drain cadence. The engine additionally flushes before
+  // parking and the log self-flushes past kPendingFlushCap, so this timer
+  // only bounds how long an *uncontended* edge stays unpublished.
+  static constexpr std::chrono::microseconds kFlushPeriod{2000};
 
  private:
   struct EdgeKey {

@@ -18,7 +18,8 @@
 // items: cover-revalidation churn (`match_fast_retries`, carried from
 // PR 8), epoch-stall storms, IPC pending-op backlog and flush latency,
 // arena slot/edge exhaustion, trace-ring drops, HistoryStore queue depth,
-// and resync staleness. Thresholds come from Config (DIMMUNIX_HEALTH_*).
+// and resync staleness. The thresholds are the fixed HealthThresholds
+// defaults; tests pass their own.
 //
 // Layering: this file sees only plain numbers. The Runtime assembles the
 // HealthSample from the engine/bridge/store snapshots it owns; tests drive
@@ -70,8 +71,8 @@ struct HealthSample {
   std::int64_t last_resync_age_ms = -1;
 };
 
-// Rule thresholds; Config carries these (health_* fields) and the Runtime
-// copies them over. Defaults here match Config's defaults.
+// Rule thresholds. The Runtime runs on these defaults; tests fill in their
+// own to drive each rule.
 struct HealthThresholds {
   double retry_ratio = 0.5;           // fast-path retries per request
   double epoch_stall_pct = 5.0;       // % of wall time stalled entering epochs

@@ -95,6 +95,13 @@ class StackTable {
   int max_depth() const { return max_depth_; }
   std::size_t size() const { return entries_.size(); }
 
+  // Hold the writer lock across fork() (pthread_atfork prepare, then
+  // release in parent and child): a child must not inherit it mid-insert
+  // from a thread that does not exist there, or its first new stack spins
+  // forever.
+  void LockForFork() { lock_.Lock(); }
+  void UnlockAfterFork() { lock_.Unlock(); }
+
   // Diagnostic: "frame0;frame1;..." with symbolized names.
   std::string Describe(StackId id) const;
 

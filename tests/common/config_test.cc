@@ -73,5 +73,27 @@ TEST(ConfigTest, MalformedEnvironmentFallsBack) {
   unsetenv("DIMMUNIX_IMMUNITY");
 }
 
+// A zero or negative period would make the monitor or IPC bridge thread
+// wait_for(0) in a busy loop; such values keep the current period.
+TEST(ConfigTest, NonPositivePeriodsFallBack) {
+  for (const char* bad : {"0", "-5"}) {
+    SCOPED_TRACE(bad);
+    setenv("DIMMUNIX_TAU_MS", bad, 1);
+    setenv("DIMMUNIX_IPC_BRIDGE_MS", bad, 1);
+    const Config config = Config::FromEnvironment();
+    EXPECT_EQ(config.monitor_period.count(), 100);
+    EXPECT_EQ(config.ipc_bridge_period.count(), 25);
+
+    Config base;
+    base.monitor_period = std::chrono::milliseconds(40);
+    base.ipc_bridge_period = std::chrono::milliseconds(7);
+    const Config kept = Config::FromEnvironment(base);
+    EXPECT_EQ(kept.monitor_period.count(), 40);
+    EXPECT_EQ(kept.ipc_bridge_period.count(), 7);
+  }
+  unsetenv("DIMMUNIX_TAU_MS");
+  unsetenv("DIMMUNIX_IPC_BRIDGE_MS");
+}
+
 }  // namespace
 }  // namespace dimmunix

@@ -336,27 +336,6 @@ TEST(AvoidanceTest, AllowedSetBookkeeping) {
   EXPECT_EQ(rt.engine().AllowedCount(stack), 0u);
 }
 
-TEST(AvoidanceTest, PetersonGuardWorks) {
-  Config config = TestConfig();
-  config.use_peterson_guard = true;  // §5.6 substrate
-  config.peterson_slots = 8;
-  Runtime rt(config);
-  SeedSignature(rt, "holdA", "reqB");
-  const ThreadId main_tid = rt.RegisterCurrentThread();
-  {
-    ScopedFrame frame(FrameFromName("holdA"));
-    ASSERT_EQ(rt.engine().Request(main_tid, 100), RequestDecision::kGo);
-    rt.engine().Acquired(main_tid, 100);
-  }
-  std::thread other([&] {
-    const ThreadId tid = rt.RegisterCurrentThread();
-    ScopedFrame frame(FrameFromName("reqB"));
-    EXPECT_EQ(rt.engine().RequestNonblocking(tid, 200), RequestDecision::kBusy);
-  });
-  other.join();
-  EXPECT_GE(rt.engine().stats().yields.load(), 1u);
-}
-
 TEST(AvoidanceTest, SharedHolderUpgradingRunsTheFullProtocol) {
   // A shared holder re-requesting shared is reentrant; the same holder
   // requesting exclusive (an upgrade) is not — it must run avoidance.

@@ -4,8 +4,8 @@
 // decide from per-stripe snapshots (match_fast_path) without entering the
 // stop-the-stripes epoch; the epoch survives only as the rare slow path
 // (cache rebuilds after history churn, fallback validation). Decisions must
-// be identical with the matcher on and off — the fast path is an
-// optimization, never a semantic fork.
+// be identical on the fast path and on the epoch — the fast path is an
+// optimization, never a semantic fork — so each decision test runs both.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +21,39 @@
 namespace dimmunix {
 namespace {
 
-Config TestConfig(bool incremental) {
+Config TestConfig() {
   Config config;
   config.start_monitor = false;
   config.default_match_depth = 1;
-  config.incremental_matcher = incremental;
   return config;
+}
+
+// How a probed request is decided. kEpoch forces the stop-the-stripes epoch
+// through public API: a no-op Mutate bumps the history version without
+// NotifyHistoryChanged, so the request rebuilds the signature cache after
+// its tentative add, finds the candidates that add recorded stale, falls
+// back (kFallback) and decides with MatchAndRetire — the epoch search is the
+// oracle the incremental matcher must agree with.
+enum class Arm { kFastPath, kEpoch };
+
+const char* ArmName(Arm arm) { return arm == Arm::kEpoch ? "epoch" : "fast path"; }
+
+// Runs the probed `request` on `arm`; `sig` is any signature index. A kBusy
+// on the epoch arm can only come from MatchAndRetire: asserting that keeps
+// the arm from silently no longer testing the epoch.
+template <typename Request>
+RequestDecision DecideOn(Runtime& rt, Arm arm, int sig, Request&& request) {
+  if (arm == Arm::kFastPath) {
+    return request();
+  }
+  rt.history().Mutate(sig, [](Signature&) {});
+  const std::uint64_t slow = rt.engine().stats().Snapshot().match_slow_path;
+  const RequestDecision decision = request();
+  if (decision == RequestDecision::kBusy) {
+    EXPECT_GT(rt.engine().stats().Snapshot().match_slow_path, slow)
+        << "the epoch arm decided without the epoch";
+  }
+  return decision;
 }
 
 constexpr const char* kFrameA = "incr_match::side_a";
@@ -69,12 +96,14 @@ int SeedSignatureOf(Runtime& rt, const Path& first, const Path& second) {
   return index;
 }
 
-void SeedSignature(Runtime& rt) { SeedSignatureOf(rt, {kFrameA}, {kFrameB}); }
+int SeedSignature(Runtime& rt) { return SeedSignatureOf(rt, {kFrameA}, {kFrameB}); }
 
 // Holder parks on a hold of `lock_a` through `holder_path`; the probe then
-// asks for `lock_b` through `probe_path` and reports the engine's decision.
+// asks for `lock_b` through `probe_path` on `arm` (`sig`: see DecideOn) and
+// reports the engine's decision.
 RequestDecision Probe(Runtime& rt, const Path& holder_path, LockId lock_a,
-                      const Path& probe_path, LockId lock_b) {
+                      const Path& probe_path, LockId lock_b, Arm arm = Arm::kFastPath,
+                      int sig = -1) {
   std::latch held(1);
   std::latch done(1);
   std::thread holder([&] {
@@ -89,8 +118,9 @@ RequestDecision Probe(Runtime& rt, const Path& holder_path, LockId lock_a,
   });
   held.wait();
   const ThreadId tid = rt.RegisterCurrentThread();
-  const RequestDecision decision =
-      OnPath(probe_path, [&] { return rt.engine().RequestNonblocking(tid, lock_b); });
+  const RequestDecision decision = DecideOn(rt, arm, sig, [&] {
+    return OnPath(probe_path, [&] { return rt.engine().RequestNonblocking(tid, lock_b); });
+  });
   if (decision == RequestDecision::kGo) {
     rt.engine().CancelRequest(tid, lock_b);
   }
@@ -100,21 +130,24 @@ RequestDecision Probe(Runtime& rt, const Path& holder_path, LockId lock_a,
 }
 
 // Holder on the signature's A side, probe on its B side.
-RequestDecision ProbeSecondEdge(Runtime& rt, LockId lock_a, LockId lock_b) {
-  return Probe(rt, {kFrameA}, lock_a, {kFrameB}, lock_b);
+RequestDecision ProbeSecondEdge(Runtime& rt, LockId lock_a, LockId lock_b,
+                                Arm arm = Arm::kFastPath, int sig = -1) {
+  return Probe(rt, {kFrameA}, lock_a, {kFrameB}, lock_b, arm, sig);
 }
 
-// One nonblocking request through `path`, rolled back if granted, and the
-// cover searches it ran (incremental or epoch).
+// One nonblocking request through `path` on `arm`, rolled back if granted,
+// and the cover searches it ran (incremental or epoch).
 struct Solo {
   RequestDecision decision;
   std::uint64_t searches;
 };
-Solo SoloRequest(Runtime& rt, const Path& path, LockId lock) {
+Solo SoloRequest(Runtime& rt, const Path& path, LockId lock, Arm arm = Arm::kFastPath,
+                 int sig = -1) {
   const ThreadId tid = rt.RegisterCurrentThread();
   const EngineStatsSnapshot before = rt.engine().stats().Snapshot();
-  const RequestDecision decision =
-      OnPath(path, [&] { return rt.engine().RequestNonblocking(tid, lock); });
+  const RequestDecision decision = DecideOn(rt, arm, sig, [&] {
+    return OnPath(path, [&] { return rt.engine().RequestNonblocking(tid, lock); });
+  });
   const EngineStatsSnapshot after = rt.engine().stats().Snapshot();
   if (decision == RequestDecision::kGo) {
     rt.engine().CancelRequest(tid, lock);
@@ -125,7 +158,7 @@ Solo SoloRequest(Runtime& rt, const Path& path, LockId lock) {
 }
 
 TEST(IncrementalMatchTest, SteadyStateStaysOffTheEpoch) {
-  Runtime rt(TestConfig(/*incremental=*/true));
+  Runtime rt(TestConfig());
   SeedSignature(rt);
 
   // A standing A-side hold keeps the signature's A position live, so the
@@ -171,35 +204,33 @@ TEST(IncrementalMatchTest, SteadyStateStaysOffTheEpoch) {
   EXPECT_EQ(after.match_slow_path, before.match_slow_path);
 }
 
-TEST(IncrementalMatchTest, DecisionsIdenticalWithMatcherOnAndOff) {
-  Runtime fast_rt(TestConfig(/*incremental=*/true));
-  Runtime slow_rt(TestConfig(/*incremental=*/false));
-  SeedSignature(fast_rt);
-  SeedSignature(slow_rt);
-
-  // The same probe sequence, both engines: a covered instantiation must be
+TEST(IncrementalMatchTest, DecisionsIdenticalOnFastPathAndEpoch) {
+  // The same probe sequence on both arms: a covered instantiation must be
   // refused, and releasing the cover must make the identical pattern pass.
-  for (Runtime* rt : {&fast_rt, &slow_rt}) {
-    EXPECT_EQ(ProbeSecondEdge(*rt, 0x100, 0x101), RequestDecision::kBusy);
-    EXPECT_EQ(ProbeSecondEdge(*rt, 0x110, 0x111), RequestDecision::kBusy);
+  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+    SCOPED_TRACE(ArmName(arm));
+    Runtime rt(TestConfig());
+    const int sig = SeedSignature(rt);
+    EXPECT_EQ(ProbeSecondEdge(rt, 0x100, 0x101, arm, sig), RequestDecision::kBusy);
+    EXPECT_EQ(ProbeSecondEdge(rt, 0x110, 0x111, arm, sig), RequestDecision::kBusy);
     // No holder: the B-side edge alone matches nothing.
-    const ThreadId tid = rt->RegisterCurrentThread();
-    ScopedFrame frame(FrameFromName(kFrameB));
-    EXPECT_EQ(rt->engine().RequestNonblocking(tid, 0x120), RequestDecision::kGo);
-    rt->engine().CancelRequest(tid, 0x120);
-  }
+    EXPECT_EQ(SoloRequest(rt, {kFrameB}, 0x120, arm, sig).decision, RequestDecision::kGo);
 
-  // Same answers, different machinery: the fast engine decided without the
-  // epoch, the legacy engine routed every plausible match through it.
-  const EngineStatsSnapshot fast = fast_rt.engine().stats().Snapshot();
-  const EngineStatsSnapshot slow = slow_rt.engine().stats().Snapshot();
-  EXPECT_GT(fast.match_fast_path, 0u);
-  EXPECT_GT(slow.match_slow_path, 0u);
-  EXPECT_GT(slow.epoch_entries, 0u);
+    // Same answers, different machinery: the fast path decided without the
+    // epoch, the epoch arm routed every search through it.
+    const EngineStatsSnapshot stats = rt.engine().stats().Snapshot();
+    if (arm == Arm::kFastPath) {
+      EXPECT_GT(stats.match_fast_path, 0u);
+      EXPECT_EQ(stats.match_slow_path, 0u);
+    } else {
+      EXPECT_GE(stats.match_slow_path, 2u);
+      EXPECT_GT(stats.epoch_entries, 0u);
+    }
+  }
 }
 
 TEST(IncrementalMatchTest, HistoryChurnRebuildsAndRecovers) {
-  Runtime rt(TestConfig(/*incremental=*/true));
+  Runtime rt(TestConfig());
   SeedSignature(rt);
 
   // Decisions stay oracle-correct across repeated cache invalidations, and
@@ -222,17 +253,17 @@ TEST(IncrementalMatchTest, HistoryChurnRebuildsAndRecovers) {
 // two threads at s. One thread there must not make it look fully live —
 // that used to send every request on a full-history cover search.
 TEST(IncrementalMatchTest, SameSuffixSignatureNeedsTwoThreads) {
-  for (const bool incremental : {true, false}) {
-    SCOPED_TRACE(incremental ? "matcher on" : "matcher off");
-    Runtime rt(TestConfig(incremental));
-    SeedSignatureOf(rt, {kFrameA}, {kFrameA});
+  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+    SCOPED_TRACE(ArmName(arm));
+    Runtime rt(TestConfig());
+    const int sig = SeedSignatureOf(rt, {kFrameA}, {kFrameA});
 
-    const Solo alone = SoloRequest(rt, {kFrameA}, 0x300);
+    const Solo alone = SoloRequest(rt, {kFrameA}, 0x300, arm, sig);
     EXPECT_EQ(alone.decision, RequestDecision::kGo);
     EXPECT_EQ(alone.searches, 0u) << "one thread at s: the fast reject must hold";
 
     const std::uint64_t yields = rt.engine().stats().Snapshot().yields;
-    EXPECT_EQ(Probe(rt, {kFrameA}, 0x301, {kFrameA}, 0x302), RequestDecision::kBusy)
+    EXPECT_EQ(Probe(rt, {kFrameA}, 0x301, {kFrameA}, 0x302, arm, sig), RequestDecision::kBusy)
         << "a second thread at s on another lock instantiates the signature";
     EXPECT_EQ(rt.engine().stats().Snapshot().yields, yields + 1);
   }
@@ -243,35 +274,35 @@ TEST(IncrementalMatchTest, SameSuffixSignatureNeedsTwoThreads) {
 TEST(IncrementalMatchTest, DepthChangeRecomputesNeed) {
   const Path x{kFrameA, kOuterX};
   const Path y{kFrameA, kOuterY};
-  for (const bool incremental : {true, false}) {
-    SCOPED_TRACE(incremental ? "matcher on" : "matcher off");
-    Runtime rt(TestConfig(incremental));
+  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+    SCOPED_TRACE(ArmName(arm));
+    Runtime rt(TestConfig());
     const int sig = SeedSignatureOf(rt, x, y);
 
     // Depth 1: x and y share their inner frame, so each position needs two
     // threads, and two threads on the x path alone instantiate it.
-    EXPECT_EQ(SoloRequest(rt, x, 0x500).searches, 0u);
-    EXPECT_EQ(Probe(rt, x, 0x501, x, 0x502), RequestDecision::kBusy);
+    EXPECT_EQ(SoloRequest(rt, x, 0x500, arm, sig).searches, 0u);
+    EXPECT_EQ(Probe(rt, x, 0x501, x, 0x502, arm, sig), RequestDecision::kBusy);
 
     // Depth 2 splits the suffix: the y position needs its own thread.
     ASSERT_TRUE(rt.SetSignatureMatchDepth(sig, 2));
-    EXPECT_EQ(Probe(rt, x, 0x511, x, 0x512), RequestDecision::kGo);
-    EXPECT_EQ(Probe(rt, x, 0x513, y, 0x514), RequestDecision::kBusy)
+    EXPECT_EQ(Probe(rt, x, 0x511, x, 0x512, arm, sig), RequestDecision::kGo);
+    EXPECT_EQ(Probe(rt, x, 0x513, y, 0x514, arm, sig), RequestDecision::kBusy)
         << "need must drop to 1 per position at depth 2";
 
     ASSERT_TRUE(rt.SetSignatureMatchDepth(sig, 1));
-    EXPECT_EQ(SoloRequest(rt, y, 0x520).searches, 0u);
-    EXPECT_EQ(Probe(rt, y, 0x521, y, 0x522), RequestDecision::kBusy);
+    EXPECT_EQ(SoloRequest(rt, y, 0x520, arm, sig).searches, 0u);
+    EXPECT_EQ(Probe(rt, y, 0x521, y, 0x522, arm, sig), RequestDecision::kBusy);
   }
 }
 
 // A signature made fully live by two other threads is no business of a
 // requester whose stack it cannot hold: that request must not search.
 TEST(IncrementalMatchTest, LiveSignatureElsewhereAddsNoCoverSearch) {
-  for (const bool incremental : {true, false}) {
-    SCOPED_TRACE(incremental ? "matcher on" : "matcher off");
-    Runtime rt(TestConfig(incremental));
-    SeedSignature(rt);
+  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+    SCOPED_TRACE(ArmName(arm));
+    Runtime rt(TestConfig());
+    const int sig = SeedSignature(rt);
 
     // The holder owns 0x600 through A; the waiter asks for the same lock
     // through B. One exclusive lock cannot fill both positions, so the
@@ -303,11 +334,9 @@ TEST(IncrementalMatchTest, LiveSignatureElsewhereAddsNoCoverSearch) {
 
     const Solo outside = SoloRequest(rt, {kFrameC}, 0x601);
     EXPECT_EQ(outside.decision, RequestDecision::kGo);
-    if (incremental) {
-      EXPECT_EQ(outside.searches, 0u) << "requester outside the signature searched it";
-    }
+    EXPECT_EQ(outside.searches, 0u) << "requester outside the signature searched it";
     // A requester the signature can hold still finds the instance.
-    EXPECT_EQ(SoloRequest(rt, {kFrameB}, 0x602).decision, RequestDecision::kBusy);
+    EXPECT_EQ(SoloRequest(rt, {kFrameB}, 0x602, arm, sig).decision, RequestDecision::kBusy);
 
     done.count_down();
     holder.join();
@@ -317,10 +346,11 @@ TEST(IncrementalMatchTest, LiveSignatureElsewhereAddsNoCoverSearch) {
 
 // An upgrading thread's held shared tuple can serve as the instance's
 // requester edge, so its candidates are not scoped to its new stack: the
-// decision must equal the matcher-off (epoch) one.
-TEST(IncrementalMatchTest, UpgradeKeepsMatcherOffDecision) {
-  const auto upgrade_decision = [](bool incremental) {
-    Runtime rt(TestConfig(incremental));
+// decision must equal the epoch one.
+TEST(IncrementalMatchTest, UpgradeKeepsEpochDecision) {
+  const auto upgrade_decision = [](Arm arm) {
+    SCOPED_TRACE(ArmName(arm));
+    Runtime rt(TestConfig());
     constexpr LockId kRw = 0x700;
     constexpr LockId kOther = 0x701;
     std::latch held(2);
@@ -328,6 +358,7 @@ TEST(IncrementalMatchTest, UpgradeKeepsMatcherOffDecision) {
     std::latch decided(1);
     std::latch done(1);
     RequestDecision decision = RequestDecision::kGo;
+    int sig = -1;
     std::thread upgrader([&] {
       const ThreadId tid = rt.RegisterCurrentThread();
       OnPath({kFrameA}, [&] {
@@ -336,8 +367,10 @@ TEST(IncrementalMatchTest, UpgradeKeepsMatcherOffDecision) {
       });
       held.count_down();
       seeded.wait();
-      decision = OnPath({kFrameC}, [&] {
-        return rt.engine().RequestNonblocking(tid, kRw, AcquireMode::kExclusive);
+      decision = DecideOn(rt, arm, sig, [&] {
+        return OnPath({kFrameC}, [&] {
+          return rt.engine().RequestNonblocking(tid, kRw, AcquireMode::kExclusive);
+        });
       });
       if (decision == RequestDecision::kGo) {
         rt.engine().CancelRequest(tid, kRw, AcquireMode::kExclusive);
@@ -358,7 +391,7 @@ TEST(IncrementalMatchTest, UpgradeKeepsMatcherOffDecision) {
     });
     held.wait();
     // Seeded after both holds stand, so neither hold was refused.
-    SeedSignature(rt);
+    sig = SeedSignature(rt);
     seeded.count_down();
     decided.wait();
     done.count_down();
@@ -366,9 +399,9 @@ TEST(IncrementalMatchTest, UpgradeKeepsMatcherOffDecision) {
     other.join();
     return decision;
   };
-  const RequestDecision epoch = upgrade_decision(/*incremental=*/false);
+  const RequestDecision epoch = upgrade_decision(Arm::kEpoch);
   EXPECT_EQ(epoch, RequestDecision::kBusy);
-  EXPECT_EQ(upgrade_decision(/*incremental=*/true), epoch);
+  EXPECT_EQ(upgrade_decision(Arm::kFastPath), epoch);
 }
 
 }  // namespace
