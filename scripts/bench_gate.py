@@ -32,8 +32,9 @@ import argparse
 import json
 import sys
 
-# Instrumented configurations whose tail the gate owns. Baseline and the
-# partial fig8 stages are reported but never gated.
+# Instrumented configurations whose tail the gate owns: fig5's `dimmunix`
+# and persist's `full` / `full+persist`. Baseline samples, and the sweep
+# points of fig6/fig7/fig9, are reported but never tail-gated.
 GATED_LABELS = {"dimmunix", "full", "full+persist"}
 
 REQUIRED_KEYS = ("bench", "config", "samples", "p50_ns", "p99_ns", "throughput_ops_s")

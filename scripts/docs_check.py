@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lane: keep the documentation from silently rotting.
 
-Three checks, all cheap enough to run on every push:
+Five checks, all cheap enough to run on every push:
 
 1. Link check — every relative markdown link in docs/*.md and README.md
    must point at a file that exists in the repo (anchors are stripped;
@@ -14,6 +14,12 @@ Three checks, all cheap enough to run on every push:
    tools/ read (getenv, or the Getenv/Env* helpers of
    src/common/config.cc) must equal the README "Environment knobs" list.
    A knob added or removed without its README line fails CI.
+4. Orphan-report guard — every committed BENCH_<name>.json at the repo
+   root must have a `benchjson --bench <name>` step in
+   .github/workflows/ci.yml, so no report outlives the bench that
+   regenerates and gates it.
+5. Bench-name guard — every `--bench <name>` that README.md, docs/*.md
+   or a workflow names must be a bench in benchjson's usage line.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -31,6 +37,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # A DIMMUNIX_* name passed as a string literal to an environment reader.
 KNOB_READ_RE = re.compile(r"\b(?:getenv|Getenv|Env[A-Za-z]+)\(\s*\"(DIMMUNIX_[A-Z0-9_]+)\"")
 KNOB_NAME_RE = re.compile(r"`(DIMMUNIX_[A-Z0-9_]+)")
+
+# benchjson's usage line lists every bench it runs: "--bench a|b|...|all".
+USAGE_RE = re.compile(r"usage: benchjson --bench ([a-z0-9|]+)")
+BENCH_ARG_RE = re.compile(r"--bench\s+([a-z][a-z0-9_]*)")
 
 
 def strip_fenced_code(text: str) -> str:
@@ -110,16 +120,51 @@ def check_knobs() -> list[str]:
     return errors
 
 
+def benchjson_benches() -> set[str] | None:
+    match = USAGE_RE.search((ROOT / "tools" / "benchjson.cc").read_text(encoding="utf-8"))
+    return set(match.group(1).split("|")) if match else None
+
+
+def check_bench_reports() -> list[str]:
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    run_in_ci = set(BENCH_ARG_RE.findall(ci))
+    errors = []
+    for report in sorted(ROOT.glob("BENCH_*.json")):
+        name = report.name[len("BENCH_"):-len(".json")]
+        if name not in run_in_ci:
+            errors.append(f"{report.name}: no `benchjson --bench {name}` step in "
+                          ".github/workflows/ci.yml (orphan report)")
+    return errors
+
+
+def check_bench_names() -> list[str]:
+    known = benchjson_benches()
+    if known is None:
+        return ["tools/benchjson.cc: no \"usage: benchjson --bench ...\" line"]
+    sources = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+               *sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
+    errors = []
+    for path in sources:
+        for name in sorted(set(BENCH_ARG_RE.findall(path.read_text(encoding="utf-8")))):
+            if name not in known:
+                errors.append(f"{path.relative_to(ROOT)}: `--bench {name}` is not a "
+                              "benchjson bench (see its usage line)")
+    return errors
+
+
 def main() -> int:
     errors = []
     for md in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
         errors.extend(check_links(md))
     errors.extend(check_subsystems())
     errors.extend(check_knobs())
+    errors.extend(check_bench_reports())
+    errors.extend(check_bench_names())
     for err in errors:
         print(f"docs-check: {err}", file=sys.stderr)
     if not errors:
-        print("docs-check: all links resolve, all subsystems and knobs documented")
+        print("docs-check: all links resolve, all subsystems and knobs documented, "
+              "every BENCH report and --bench name is backed by benchjson")
     return min(len(errors), 99)
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Nightly perf-trend diff: fresh full-length BENCH_*.json vs committed.
 
-Compares the benches the repo commits (fig4, fig5, fig8) and writes two
+Compares the benches the repo commits (fig4, fig5, persist) and writes two
 artifacts: a JSON diff and a one-line markdown summary.
 
 What is *informational* vs what *fails the job*:
@@ -33,10 +33,10 @@ import json
 import os
 import sys
 
-BENCHES = ("fig4", "fig5", "fig8")
+BENCHES = ("fig4", "fig5", "persist")
 # Instrumented labels paired against this baseline label for overhead factors.
 BASELINE_LABEL = "baseline"
-INSTRUMENTED_LABELS = {"dimmunix", "full", "full+persist", "instr"}
+INSTRUMENTED_LABELS = {"dimmunix", "full", "full+persist"}
 
 
 def load(dirpath, bench):

@@ -137,6 +137,9 @@ std::string BenchReport::ToJson() const {
     if (s.retries_per_op >= 0) {
       out += ", \"retries_per_op\": " + JsonDouble(s.retries_per_op);
     }
+    if (s.fp_yields >= 0) {
+      out += ", \"fp_yields\": " + std::to_string(s.fp_yields);
+    }
     out += "}";
   }
   out += samples.empty() ? "],\n" : "\n  ],\n";

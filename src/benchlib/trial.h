@@ -54,7 +54,7 @@ std::uint64_t PercentileNs(std::vector<std::uint64_t> samples, double q);
 
 // One measured configuration of a benchmark (one point on a figure curve).
 struct BenchSample {
-  std::string label;        // e.g. "dimmunix" / "baseline" / "instr"
+  std::string label;        // e.g. "dimmunix" / "baseline" / "full"
   int threads = 0;
   double throughput_ops_s = 0.0;
   std::uint64_t ops = 0;
@@ -67,6 +67,10 @@ struct BenchSample {
   // not measured (baseline samples have no engine). Emitted in the JSON
   // only when set, so committed pre-existing reports stay valid.
   double retries_per_op = -1.0;
+  // Figure 9: yields whose matched cover no longer matches at full stack
+  // depth (for the gate-lock baseline: contended gate acquisitions).
+  // Negative = not measured; emitted only when set, like retries_per_op.
+  std::int64_t fp_yields = -1;
 
   // Tail ratio: how many medians deep the p99 sits. The number the
   // bench-smoke tail gate budgets — a convoy (epoch or otherwise) shows up
@@ -79,7 +83,7 @@ struct BenchSample {
 // One benchmark run. `config` keys/values land verbatim in the JSON config
 // object (values are emitted as JSON strings).
 struct BenchReport {
-  std::string bench;  // "fig5", "fig8"
+  std::string bench;  // "fig5", "persist"
   std::vector<std::pair<std::string, std::string>> config;
   std::vector<BenchSample> samples;
   // Aggregates: the headline numbers CI tracks across commits. Callers set

@@ -92,16 +92,6 @@ Config Config::FromEnvironment(Config base) {
   base.incident_max = static_cast<int>(EnvLong("DIMMUNIX_INCIDENT_MAX", base.incident_max));
   base.incident_min_period = std::chrono::milliseconds(
       EnvLong("DIMMUNIX_INCIDENT_MIN_MS", base.incident_min_period.count()));
-  if (const char* st = Getenv("DIMMUNIX_STAGE"); st != nullptr) {
-    std::string_view s(st);
-    if (s == "instr") {
-      base.stage = EngineStage::kInstrumentationOnly;
-    } else if (s == "data") {
-      base.stage = EngineStage::kDataStructures;
-    } else if (s == "full") {
-      base.stage = EngineStage::kFull;
-    }
-  }
   return base;
 }
 

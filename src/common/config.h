@@ -34,13 +34,6 @@ enum class DeadlockAction {
   kBreakVictim,  // additionally cancel one victim's pending acquisition
 };
 
-// Staged-disable knobs for the Figure 8 overhead breakdown.
-enum class EngineStage {
-  kInstrumentationOnly,  // intercept lock ops, emit events, never consult history
-  kDataStructures,       // + maintain Allowed sets / lock map, never yield
-  kFull,                 // + avoidance (production behavior)
-};
-
 struct Config {
   // Master switch: false turns every engine entry point into an immediate
   // return (used as the "uninstrumented baseline" in app-level benchmarks).
@@ -60,7 +53,6 @@ struct Config {
   // --- Avoidance -----------------------------------------------------------
   ImmunityMode immunity = ImmunityMode::kWeak;
   DeadlockAction deadlock_action = DeadlockAction::kReport;
-  EngineStage stage = EngineStage::kFull;
   std::chrono::milliseconds yield_timeout{200};  // §5.7 upper bound on a yield
   // After this many timed-out yields a signature is considered "too risky to
   // avoid" and is automatically disabled (§5.7). <= 0 disables the feature.
@@ -155,14 +147,12 @@ struct Config {
   //   DIMMUNIX_HISTORY, DIMMUNIX_TAU_MS, DIMMUNIX_DEPTH, DIMMUNIX_MAX_DEPTH,
   //   DIMMUNIX_IMMUNITY (weak|strong), DIMMUNIX_CALIBRATION (0|1),
   //   DIMMUNIX_YIELD_TIMEOUT_MS, DIMMUNIX_IGNORE_YIELDS (0|1),
-  //   DIMMUNIX_STAGE (instr|data|full), DIMMUNIX_STRIPES (0 = auto),
+  //   DIMMUNIX_STRIPES (0 = auto),
   //   DIMMUNIX_CONTROL (control-socket path, e.g. /tmp/app.dimmunix.sock),
   //   DIMMUNIX_FLEET (host:port of the attached dimmunixd daemon),
   //   DIMMUNIX_JOURNAL_THRESHOLD, DIMMUNIX_JOURNAL_FSYNC (0|1),
   //   DIMMUNIX_RESYNC_MS (0 = off),
   //   DIMMUNIX_IPC (arena path), DIMMUNIX_IPC_BRIDGE_MS,
-  //   DIMMUNIX_ID_CACHE (per-thread global-ID cache entries, 0 = off —
-  //   read by src/ipc/global_id.cc),
   //   DIMMUNIX_TRACE (0|1), DIMMUNIX_TRACE_RING (events per thread),
   //   DIMMUNIX_TRACE_DUMP (Chrome-JSON dump path, %p -> pid),
   //   DIMMUNIX_METRICS (0|1, default 1),

@@ -118,18 +118,6 @@ std::string DoFleetProxy(Runtime& rt, const Request& request) {
   return reply;
 }
 
-const char* StageName(EngineStage stage) {
-  switch (stage) {
-    case EngineStage::kInstrumentationOnly:
-      return "instr";
-    case EngineStage::kDataStructures:
-      return "data";
-    case EngineStage::kFull:
-      return "full";
-  }
-  return "full";
-}
-
 std::string DoStatus(Runtime& rt) {
   const EngineStatsSnapshot engine = rt.engine().stats().Snapshot();
   const MonitorStatsSnapshot monitor = rt.monitor().stats().Snapshot();
@@ -140,7 +128,6 @@ std::string DoStatus(Runtime& rt) {
   out << "pid=" << ::getpid() << "\n";
   out << "enabled=" << (rt.config().enabled ? 1 : 0) << "\n";
   out << "immunity=" << ImmunityName(rt.config().immunity) << "\n";
-  out << "stage=" << StageName(rt.config().stage) << "\n";
   out << "history_path=" << rt.config().history_path << "\n";
   out << "signatures=" << rt.history().size() << "\n";
   out << "signatures_disabled=" << disabled << "\n";
@@ -326,7 +313,6 @@ std::string DoConfig(Runtime& rt) {
   out << "calibration_na=" << c.calibration_na << "\n";
   out << "calibration_nt=" << c.calibration_nt << "\n";
   out << "immunity=" << ImmunityName(c.immunity) << "\n";
-  out << "stage=" << StageName(c.stage) << "\n";
   out << "yield_timeout_ms=" << c.yield_timeout.count() << "\n";
   out << "auto_disable_aborts=" << c.auto_disable_aborts << "\n";
   out << "ignore_yield_decisions=" << (c.ignore_yield_decisions ? 1 : 0) << "\n";

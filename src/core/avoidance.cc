@@ -218,33 +218,27 @@ void AvoidanceEngine::CollectCandidates(const SigGen& gen,
 
 void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
                                      const AllowedTuple& tuple, FastScratch* scratch) {
-  const bool matching = config_.stage == EngineStage::kFull;
-  const SigGen* gen = nullptr;
-  if (matching) {
-    gen = CurrentGen();  // stable: rebuilds need every stripe, we hold one
-    EnsureMemberships(stack, slot, *gen);
-  }
+  const SigGen* gen = CurrentGen();  // stable: rebuilds need every stripe, we hold one
+  EnsureMemberships(stack, slot, *gen);
   slot->tuples.push_back(tuple);
   ++stripe.version;
   if (slot->live_index < 0) {
     slot->live_index = static_cast<int>(stripe.live.size());
     stripe.live.push_back(stack);
   }
-  if (matching) {
-    // seq_cst: pairs with the seq_cst fast-reject loads so two racing
-    // requesters cannot both miss each other's tentative tuple. The
-    // fully_live gate preserves that argument: if requester A's fully_live
-    // load misses requester B's increment, then in the seq_cst total order
-    // A's live[] add precedes B's fully_live add — so B's candidate scan
-    // (which runs after its own increment) observes A's tuple.
-    for (const std::uint32_t pack : slot->memberships) {
-      const std::size_t e = pack >> kPosBits;
-      const std::size_t j = pack & ((1u << kPosBits) - 1);
-      const SigGen::Entry& entry = gen->entries[e];
-      if (entry.live[j].fetch_add(1, std::memory_order_seq_cst) == entry.need[j] - 1 &&
-          gen->dead[e].fetch_sub(1, std::memory_order_seq_cst) == 1) {
-        gen->fully_live.fetch_add(1, std::memory_order_seq_cst);
-      }
+  // seq_cst: pairs with the seq_cst fast-reject loads so two racing
+  // requesters cannot both miss each other's tentative tuple. The
+  // fully_live gate preserves that argument: if requester A's fully_live
+  // load misses requester B's increment, then in the seq_cst total order
+  // A's live[] add precedes B's fully_live add — so B's candidate scan
+  // (which runs after its own increment) observes A's tuple.
+  for (const std::uint32_t pack : slot->memberships) {
+    const std::size_t e = pack >> kPosBits;
+    const std::size_t j = pack & ((1u << kPosBits) - 1);
+    const SigGen::Entry& entry = gen->entries[e];
+    if (entry.live[j].fetch_add(1, std::memory_order_seq_cst) == entry.need[j] - 1 &&
+        gen->dead[e].fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      gen->fully_live.fetch_add(1, std::memory_order_seq_cst);
     }
   }
   if (scratch != nullptr) {
@@ -253,12 +247,9 @@ void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlo
     // argument is unchanged. A valid instance must use the requester's new
     // allow edge, which only its own slot's positions can hold.
     scratch->own_cands.clear();
-    scratch->own_version = kStaleVersion;
-    if (matching) {
-      scratch->own_version = gen->version;
-      if (gen->fully_live.load(std::memory_order_seq_cst) > 0) {
-        CollectCandidates(*gen, &slot->memberships, &scratch->own_cands);
-      }
+    scratch->own_version = gen->version;
+    if (gen->fully_live.load(std::memory_order_seq_cst) > 0) {
+      CollectCandidates(*gen, &slot->memberships, &scratch->own_cands);
     }
   }
 }
@@ -294,19 +285,17 @@ void AvoidanceEngine::RemoveTupleLocked(SlotStripe& stripe, StackId stack, Stack
     }
     slot->live_index = -1;
   }
-  if (config_.stage == EngineStage::kFull) {
-    const SigGen* gen = CurrentGen();
-    // Invariant: a slot that held tuples has memberships current w.r.t. the
-    // published generation (adds refresh lazily; rebuilds visit live slots).
-    EnsureMemberships(stack, slot, *gen);
-    for (const std::uint32_t pack : slot->memberships) {
-      const std::size_t e = pack >> kPosBits;
-      const std::size_t j = pack & ((1u << kPosBits) - 1);
-      const SigGen::Entry& entry = gen->entries[e];
-      if (entry.live[j].fetch_sub(1, std::memory_order_seq_cst) == entry.need[j] &&
-          gen->dead[e].fetch_add(1, std::memory_order_seq_cst) == 0) {
-        gen->fully_live.fetch_sub(1, std::memory_order_seq_cst);
-      }
+  const SigGen* gen = CurrentGen();
+  // Invariant: a slot that held tuples has memberships current w.r.t. the
+  // published generation (adds refresh lazily; rebuilds visit live slots).
+  EnsureMemberships(stack, slot, *gen);
+  for (const std::uint32_t pack : slot->memberships) {
+    const std::size_t e = pack >> kPosBits;
+    const std::size_t j = pack & ((1u << kPosBits) - 1);
+    const SigGen::Entry& entry = gen->entries[e];
+    if (entry.live[j].fetch_sub(1, std::memory_order_seq_cst) == entry.need[j] &&
+        gen->dead[e].fetch_add(1, std::memory_order_seq_cst) == 0) {
+      gen->fully_live.fetch_sub(1, std::memory_order_seq_cst);
     }
   }
 }
@@ -339,9 +328,6 @@ const AvoidanceEngine::SigGen* AvoidanceEngine::AcquireGenRef(ThreadSlot& slot) 
 }
 
 void AvoidanceEngine::RefreshGen() {
-  if (config_.stage != EngineStage::kFull) {
-    return;
-  }
   std::lock_guard<SpinLock> sig_guard(sig_mutex_);
   // Read the version before the signatures: if the history mutates during
   // the build, the next staleness check triggers another rebuild.
@@ -813,9 +799,6 @@ RequestDecision AvoidanceEngine::Grant(ThreadSlot& slot, ThreadId thread, LockId
 std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::Decide(
     ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
     bool yield_on_match) {
-  if (config_.stage != EngineStage::kFull) {
-    return std::nullopt;
-  }
   // The hazard ref pins the generation (and its live counters) across the
   // incremental scan, which embeds the §5.6 fast reject.
   const SigGen* gen = AcquireGenRef(slot);
@@ -853,16 +836,6 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
     return RequestDecision::kGo;
   }
   ThreadSlot& slot = BeginRequest(thread);
-
-  if (config_.stage == EngineStage::kInstrumentationOnly) {
-    // Figure 8 stage 1: intercept + capture + events only.
-    const StackId stack = stacks_->Intern(CaptureStack());
-    slot.pending_stack = stack;
-    slot.pending_lock = lock;
-    queue_->Push(MakeEvent(EventType::kAllow, thread, lock, stack, mode));
-    stats_.gos.fetch_add(1, std::memory_order_relaxed);
-    return RequestDecision::kGo;
-  }
 
   GlobalEdgePublisher* pub = PublisherFor(lock);
   // Global-lock stacks are proc-qualified. The capture stays alive until the
@@ -1120,11 +1093,7 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
       }
     }
     if (!found) {
-      // Stage kInstrumentationOnly does not maintain tuples; kFull always
-      // will have inserted one.
-      if (config_.stage != EngineStage::kInstrumentationOnly) {
-        AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
-      }
+      AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
     }
   }
   if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr) {
@@ -1367,8 +1336,7 @@ void AvoidanceEngine::FlushAllThreadEvents() {
 void AvoidanceEngine::MirrorForeignWait(ThreadId thread, LockId lock, StackId stack,
                                         AcquireMode mode) {
   ScopedEngineEntry entry;
-  if (!config_.enabled || entry.nested() ||
-      config_.stage == EngineStage::kInstrumentationOnly) {
+  if (!config_.enabled || entry.nested()) {
     return;
   }
   AddTuple(stack, AllowedTuple{thread, lock, false, mode});
@@ -1380,8 +1348,7 @@ void AvoidanceEngine::MirrorForeignWait(ThreadId thread, LockId lock, StackId st
 void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId stack,
                                            AcquireMode mode) {
   ScopedEngineEntry entry;
-  if (!config_.enabled || entry.nested() ||
-      config_.stage == EngineStage::kInstrumentationOnly) {
+  if (!config_.enabled || entry.nested()) {
     return;
   }
   RemoveTuple(stack, thread, lock, /*held=*/false);
@@ -1395,8 +1362,7 @@ void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId
 void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId stack,
                                         AcquireMode mode) {
   ScopedEngineEntry entry;
-  if (!config_.enabled || entry.nested() ||
-      config_.stage == EngineStage::kInstrumentationOnly) {
+  if (!config_.enabled || entry.nested()) {
     return;
   }
   bool already_holding = false;
@@ -1454,8 +1420,7 @@ void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId st
 void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId stack,
                                            AcquireMode mode) {
   ScopedEngineEntry entry;
-  if (!config_.enabled || entry.nested() ||
-      config_.stage == EngineStage::kInstrumentationOnly) {
+  if (!config_.enabled || entry.nested()) {
     return;
   }
   bool final_release = false;

@@ -515,7 +515,7 @@ class AvoidanceEngine {
   // matcher, and falls back to the epoch (MatchAndRetire) when that cannot
   // decide. On a match the allow tuple is retired (and, with
   // yield_on_match, the yield registered), and yielders whose cover named
-  // that tuple are woken to re-decide. Matches only in EngineStage::kFull.
+  // that tuple are woken to re-decide.
   std::optional<MatchResult> Decide(ThreadId thread, LockId lock, AcquireMode mode,
                                     StackId stack, ThreadSlot& slot, bool yield_on_match);
 

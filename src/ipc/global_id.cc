@@ -120,10 +120,11 @@ bool LookupRegion(std::uint64_t addr, SharedRegion* out) {
 // --- per-thread resolution cache --------------------------------------------
 // Direct-mapped thread_local slabs (no locks, no sharing) validated against
 // global invalidation stamps: g_maps_epoch for addresses, g_fd_gen[fd] for
-// descriptors. Capacity is fixed; DIMMUNIX_ID_CACHE picks how many entries
-// are actually used (rounded down to a power of two, 0 disables).
+// descriptors. 64 entries per slab: a power of two, so a slot is a mask.
 
-constexpr std::size_t kCacheCapacity = 256;
+constexpr std::size_t kCacheEntries = 64;
+static_assert((kCacheEntries & (kCacheEntries - 1)) == 0, "slot index is a mask");
+constexpr std::size_t kCacheMask = kCacheEntries - 1;
 constexpr int kMaxCachedFd = 4096;  // descriptors past this are never cached
 
 std::atomic<std::uint64_t> g_maps_epoch{1};
@@ -131,25 +132,6 @@ std::atomic<std::uint32_t> g_fd_gen[kMaxCachedFd];
 
 ShardedCounter g_cache_hits;
 ShardedCounter g_cache_misses;
-
-std::size_t CacheMask() {  // entries - 1, or SIZE_MAX when disabled
-  static const std::size_t mask = [] {
-    std::size_t entries = 64;
-    if (const char* env = std::getenv("DIMMUNIX_ID_CACHE"); env != nullptr && *env != '\0') {
-      const long v = std::strtol(env, nullptr, 10);
-      entries = v <= 0 ? 0 : static_cast<std::size_t>(v);
-    }
-    if (entries == 0) {
-      return ~std::size_t{0};
-    }
-    entries = std::min(entries, kCacheCapacity);
-    while ((entries & (entries - 1)) != 0) {
-      entries &= entries - 1;  // round down to a power of two
-    }
-    return entries - 1;
-  }();
-  return mask;
-}
 
 struct AddrCacheEntry {
   const void* addr = nullptr;
@@ -166,24 +148,23 @@ struct FdCacheEntry {
   LockId id = kInvalidLockId;
 };
 
-thread_local AddrCacheEntry t_addr_cache[kCacheCapacity];
-thread_local FdCacheEntry t_fd_cache[kCacheCapacity];
+thread_local AddrCacheEntry t_addr_cache[kCacheEntries];
+thread_local FdCacheEntry t_fd_cache[kCacheEntries];
 
-std::size_t AddrSlot(const void* addr, std::size_t mask) {
+std::size_t AddrSlot(const void* addr) {
   // Locks are at least word-aligned; shift the dead bits out before mixing.
   return static_cast<std::size_t>((reinterpret_cast<std::uint64_t>(addr) >> 3) *
                                   0x9E3779B97F4A7C15ULL >>
                                   32) &
-         mask;
+         kCacheMask;
 }
 
-std::size_t FdSlot(int fd, GlobalLockKind kind, std::uint64_t offset, std::uint64_t length,
-                   std::size_t mask) {
+std::size_t FdSlot(int fd, GlobalLockKind kind, std::uint64_t offset, std::uint64_t length) {
   std::uint64_t h = HashCombine(static_cast<std::uint64_t>(fd) + 0x2545F491,
                                 static_cast<std::uint64_t>(kind));
   h = HashCombine(h, offset);
   h = HashCombine(h, length);
-  return static_cast<std::size_t>(h) & mask;
+  return static_cast<std::size_t>(h) & kCacheMask;
 }
 
 // --- fcntl range registry ---------------------------------------------------
@@ -259,13 +240,12 @@ void RegisterRange(LockId id, const LockRange& range) {
 
 LockId GlobalIdForFileLock(int fd, GlobalLockKind kind, std::uint64_t offset,
                            std::uint64_t length) {
-  const std::size_t mask = CacheMask();
-  const bool cacheable = mask != ~std::size_t{0} && fd >= 0 && fd < kMaxCachedFd;
+  const bool cacheable = fd >= 0 && fd < kMaxCachedFd;
   std::uint32_t gen = 0;
   FdCacheEntry* entry = nullptr;
   if (cacheable) {
     gen = g_fd_gen[fd].load(std::memory_order_acquire);
-    entry = &t_fd_cache[FdSlot(fd, kind, offset, length, mask)];
+    entry = &t_fd_cache[FdSlot(fd, kind, offset, length)];
     if (entry->fd == fd && entry->kind == static_cast<std::uint8_t>(kind) &&
         entry->offset == offset && entry->length == length && entry->gen == gen) {
       g_cache_hits.fetch_add(1);
@@ -297,19 +277,14 @@ LockId GlobalIdForFileLock(int fd, GlobalLockKind kind, std::uint64_t offset,
 }
 
 LockId GlobalIdForSharedAddress(const void* addr) {
-  const std::size_t mask = CacheMask();
-  AddrCacheEntry* entry = nullptr;
-  std::uint64_t epoch = 0;
-  if (mask != ~std::size_t{0}) {
-    // Stamp BEFORE resolving: an invalidation racing the slow path leaves a
-    // stale-stamped entry that the next lookup rejects, never a stale id
-    // that survives.
-    epoch = g_maps_epoch.load(std::memory_order_acquire);
-    entry = &t_addr_cache[AddrSlot(addr, mask)];
-    if (entry->addr == addr && entry->epoch == epoch) {
-      g_cache_hits.fetch_add(1);
-      return entry->id;
-    }
+  // Stamp BEFORE resolving: an invalidation racing the slow path leaves a
+  // stale-stamped entry that the next lookup rejects, never a stale id that
+  // survives.
+  const std::uint64_t epoch = g_maps_epoch.load(std::memory_order_acquire);
+  AddrCacheEntry* entry = &t_addr_cache[AddrSlot(addr)];
+  if (entry->addr == addr && entry->epoch == epoch) {
+    g_cache_hits.fetch_add(1);
+    return entry->id;
   }
   g_cache_misses.fetch_add(1);
   const std::uint64_t a = reinterpret_cast<std::uint64_t>(addr);
@@ -339,9 +314,7 @@ LockId GlobalIdForSharedAddress(const void* addr) {
     // the address — use it directly.
     id = Tagged(IdentityHash(GlobalLockKind::kSharedMemory, 0, 0, a));
   }
-  if (entry != nullptr) {
-    *entry = AddrCacheEntry{addr, epoch, id};
-  }
+  *entry = AddrCacheEntry{addr, epoch, id};
   return id;
 }
 

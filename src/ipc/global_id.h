@@ -21,8 +21,8 @@
 //
 // Resolution is cached at two levels. The /proc/self/maps parse is cached
 // process-wide; a lookup miss (fresh mmap) triggers one re-parse. On top of
-// that, each thread keeps a small direct-mapped slab (DIMMUNIX_ID_CACHE
-// entries, default 64, 0 = off) of finished resolutions — address -> id and
+// that, each thread keeps a small direct-mapped slab (64 entries) of
+// finished resolutions — address -> id and
 // (fd, kind, range) -> id — so the steady state costs a few loads instead
 // of a spinlock + binary search (addresses) or an fstat syscall (fds).
 // Entries are stamped: the address cache against a global maps epoch

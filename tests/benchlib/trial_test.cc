@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 namespace dimmunix {
@@ -52,6 +53,26 @@ TEST(TrialTest, ElapsedIsMeasured) {
       std::chrono::seconds(2));
   EXPECT_TRUE(result.completed);
   EXPECT_GE(result.elapsed, std::chrono::milliseconds(45));
+}
+
+TEST(BenchReportTest, OptionalSampleFieldsAreEmittedOnlyWhenSet) {
+  BenchReport report;
+  report.bench = "fig9";
+  BenchSample unset;
+  unset.label = "baseline";
+  BenchSample set;
+  set.label = "depth=1";
+  set.retries_per_op = 0.5;
+  set.fp_yields = 7;
+  report.samples = {unset, set};
+  const std::string json = report.ToJson();
+  // Each field appears once, after the second sample's label.
+  const std::size_t second = json.find("\"depth=1\"");
+  ASSERT_NE(second, std::string::npos);
+  EXPECT_GT(json.find("\"retries_per_op\": 0.5"), second);
+  EXPECT_EQ(json.find("retries_per_op"), json.rfind("retries_per_op"));
+  EXPECT_GT(json.find("\"fp_yields\": 7"), second);
+  EXPECT_EQ(json.find("fp_yields"), json.rfind("fp_yields"));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // Engine-level avoidance semantics (§5.4): GO/YIELD decisions, signature
-// instantiation matching, yield parking and waking, the §5.7 timeout bound,
-// and the Figure 8 stage knobs. Uses isolated Runtimes with the monitor
-// stopped so every behavior is deterministic.
+// instantiation matching, yield parking and waking, and the §5.7 timeout
+// bound. Uses isolated Runtimes with the monitor stopped so every behavior
+// is deterministic.
 
 #include "src/core/avoidance.h"
 
@@ -223,29 +223,6 @@ TEST(AvoidanceTest, YieldTimeoutRecordsAbortAndAutoDisables) {
   EXPECT_EQ(rt.history().Get(index).abort_count, 2u);
   EXPECT_TRUE(rt.history().Get(index).disabled);
   EXPECT_EQ(rt.engine().stats().signatures_disabled.load(), 1u);
-}
-
-TEST(AvoidanceTest, StageKnobsDisableAvoidance) {
-  for (EngineStage stage : {EngineStage::kInstrumentationOnly, EngineStage::kDataStructures}) {
-    Config config = TestConfig();
-    config.stage = stage;
-    Runtime rt(config);
-    SeedSignature(rt, "holdA", "reqB");
-    const ThreadId main_tid = rt.RegisterCurrentThread();
-    {
-      ScopedFrame frame(FrameFromName("holdA"));
-      ASSERT_EQ(rt.engine().Request(main_tid, 100), RequestDecision::kGo);
-      rt.engine().Acquired(main_tid, 100);
-    }
-    std::thread other([&] {
-      const ThreadId tid = rt.RegisterCurrentThread();
-      ScopedFrame frame(FrameFromName("reqB"));
-      EXPECT_EQ(rt.engine().Request(tid, 200), RequestDecision::kGo);
-      rt.engine().CancelRequest(tid, 200);
-    });
-    other.join();
-    EXPECT_EQ(rt.engine().stats().yields.load(), 0u) << static_cast<int>(stage);
-  }
 }
 
 TEST(AvoidanceTest, MatchDepthControlsGenerality) {

@@ -3,35 +3,38 @@
 // benchjson — machine-readable benchmark runner.
 //
 // Runs the §7.2.2 synchronization microbenchmark in the configurations of
-// Figure 5 (lock throughput vs. thread count, uninstrumented baseline vs.
-// the instrumented engine with a 64-signature history) and Figure 8
-// (overhead breakdown by engine stage) and emits BENCH_<bench>.json with
-// the schema documented in src/benchlib/trial.h:
+// the paper's figures and emits BENCH_<bench>.json with the schema
+// documented in src/benchlib/trial.h:
 //
 //   {"bench": ..., "config": {...}, "samples": [...],
 //    "p50_ns": ..., "p99_ns": ..., "throughput_ops_s": ...}
 //
-// The aggregate fields are taken from the fully instrumented run at the
-// highest measured thread count — the number the striped hot path must keep
-// pushing up. CI's bench-smoke job runs `--quick` on every push, uploads
-// the JSON artifacts, and fails on malformed output or zero throughput.
+//   fig4     two-process PROCESS_SHARED mutex victim (uninstrumented vs.
+//            instrumented with the IPC arena publishing every acquisition),
+//            plus the single-process workload with and without an arena
+//            configured, proving arena publishing stays off the local-lock
+//            fast path;
+//   fig5     lock throughput vs. thread count, uninstrumented baseline vs.
+//            the engine with a 64-signature history;
+//   persist  the engine with and without a live history file (durable
+//            journaling/compaction must stay off the hot path);
+//   fig6     throughput as δin and δout grow (overhead is absorbed);
+//   fig7     throughput vs. history size at matching depth 4 and 8;
+//   fig9     false-positive yields vs. matching depth 1..10, plus the
+//            gate-lock baseline over the same signatures (§7.3).
 //
-// Unlike the human-readable bench_* binaries (which default to the paper's
-// δout = 1 ms think time, hiding engine cost behind computation), benchjson
-// uses δin = 1 µs / δout = 0: every microsecond of engine work is visible
-// in the measured throughput, which is what a regression tracker needs.
+// The aggregate fields come from one representative instrumented sample
+// (each Run* function says which). CI's bench-smoke job runs `--quick` on
+// every push and gates the JSON with scripts/bench_gate.py.
 //
-// Figure 4 gets a cross-process twist: BENCH_fig4.json measures the
-// two-process shared-mutex victim shape — two processes hammering
-// PTHREAD_PROCESS_SHARED mutexes, uninstrumented vs. instrumented with the
-// IPC arena publishing every acquisition — plus the single-process striped
-// workload with and without an arena configured, proving arena publishing
-// stays off the local-lock fast path.
+// Unless a figure sweeps them, δin = 1 µs and δout = 0: every microsecond
+// of engine work is visible in the measured throughput, which is what a
+// regression tracker needs. The per-layer split of one acquire (capture,
+// intern, request, commit, ...) is acqbench's traced ledger, not a bench
+// here.
 //
 // Usage:
-//   benchjson --bench fig4 [--quick] [--out PATH]
-//   benchjson --bench fig5 [--quick] [--out PATH]
-//   benchjson --bench fig8 [--quick] [--out PATH]
+//   benchjson --bench NAME [--quick] [--out PATH]
 //   benchjson --bench all  [--quick]
 
 #include <pthread.h>
@@ -44,9 +47,9 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/benchlib/synth_history.h"
 #include "src/benchlib/trial.h"
 #include "src/benchlib/workload.h"
@@ -57,11 +60,19 @@
 namespace dimmunix {
 namespace {
 
+// Latency sampling rate of the in-process workloads: every 16th
+// acquisition, cheap enough to leave on for every measured series.
+constexpr int kBenchLatencySampleEvery = 16;
+
 struct Options {
   std::string bench;
   std::string out;     // empty = BenchJsonPath(bench)
   bool quick = false;  // CI smoke mode: fewer points, shorter duration
 };
+
+// Default output path: BENCH_<name>.json in the current working directory
+// (CI runs from the repo root, so the reports land at the top level).
+std::string BenchJsonPath(const std::string& bench) { return "BENCH_" + bench + ".json"; }
 
 Duration MeasureDuration(const Options& opts) {
   return opts.quick ? std::chrono::milliseconds(250) : std::chrono::milliseconds(1000);
@@ -94,7 +105,7 @@ std::uint64_t P99BudgetNs(const std::string& bench) {
   if (bench == "fig5") {
     return 20'000'000;  // yield parks under an oversubscribed run queue
   }
-  if (bench == "fig8") {
+  if (bench == "persist") {
     return 5'000'000;  // committed p99 ~24 us
   }
   if (bench == "fig4") {
@@ -109,13 +120,34 @@ std::uint64_t P99BudgetNs(const std::string& bench) {
 // design target the incremental matcher must hold: the pre-incremental
 // epoch convoy sat near 900x.
 double TailBudgetRatio(const std::string& bench) {
-  if (bench == "fig5" || bench == "fig8") {
+  if (bench == "fig5" || bench == "persist") {
     return 10.0;
   }
   return 0.0;
 }
 
-BenchSample ToSample(const char* label, int threads, const WorkloadResult& result) {
+// A report with the budgets of `bench` and a config of the host's cpu count,
+// the bench-specific `config` entries, the point duration and the mode.
+BenchReport NewReport(const std::string& bench, const Options& opts,
+                      std::vector<std::pair<std::string, std::string>> config) {
+  BenchReport report;
+  report.bench = bench;
+  report.p99_budget_ns = P99BudgetNs(bench);
+  report.tail_budget_ratio = TailBudgetRatio(bench);
+  report.config.emplace_back("cpus", CpuCount());
+  report.config.insert(report.config.end(), config.begin(), config.end());
+  report.config.emplace_back("duration_ms", std::to_string(ToMillis(MeasureDuration(opts))));
+  report.config.emplace_back("mode", opts.quick ? "quick" : "full");
+  return report;
+}
+
+void SetAggregate(BenchReport* report, const BenchSample& sample) {
+  report->p50_ns = sample.p50_ns;
+  report->p99_ns = sample.p99_ns;
+  report->throughput_ops_s = sample.throughput_ops_s;
+}
+
+BenchSample ToSample(const std::string& label, int threads, const WorkloadResult& result) {
   BenchSample sample;
   sample.label = label;
   sample.threads = threads;
@@ -128,68 +160,74 @@ BenchSample ToSample(const char* label, int threads, const WorkloadResult& resul
   return sample;
 }
 
-// A Runtime loaded with the Figure 5 synthetic history: 64 two-stack
-// signatures at depth 4, referring to stacks the workload can produce.
-Config InstrumentedConfig() {
+BenchSample RunBaseline(const std::string& label, WorkloadParams params) {
+  params.mode = WorkloadMode::kBaseline;
+  return ToSample(label, params.threads, RunWorkload(params));
+}
+
+// Runs the workload through `rt` and records the matcher's revalidation
+// rate (match_fast_retries per lock op) next to the throughput.
+BenchSample RunDimmunix(const std::string& label, WorkloadParams params, Runtime& rt) {
+  params.mode = WorkloadMode::kDimmunix;
+  params.runtime = &rt;
+  const WorkloadResult result = RunWorkload(params);
+  BenchSample sample = ToSample(label, params.threads, result);
+  if (result.lock_ops > 0) {
+    sample.retries_per_op = static_cast<double>(rt.engine().stats().match_fast_retries.load()) /
+                            static_cast<double>(result.lock_ops);
+  }
+  return sample;
+}
+
+// A Runtime for the synthetic histories: monitor on, 50 ms yield bound.
+Config InstrumentedConfig(int match_depth = 4) {
   Config config;
   config.start_monitor = true;
-  config.default_match_depth = 4;
+  config.default_match_depth = match_depth;
   config.yield_timeout = std::chrono::milliseconds(50);
   return config;
 }
 
-void LoadSyntheticHistory(Runtime& rt) {
-  SynthHistoryParams sigs;
-  sigs.signatures = 64;
-  sigs.signature_size = 2;
-  sigs.match_depth = 4;
+// Loads `sigs.signatures` synthetic signatures (default: 64 two-stack
+// signatures at depth 4) referring to stacks the workload can produce.
+void LoadSyntheticHistory(Runtime& rt, const SynthHistoryParams& sigs = {}) {
   GenerateSyntheticHistory(&rt.history(), &rt.stacks(), sigs);
   rt.engine().NotifyHistoryChanged();
 }
 
-int RunFig5(const Options& opts) {
-  std::vector<int> thread_counts = opts.quick ? std::vector<int>{2, 8, 16}
-                                              : std::vector<int>{2, 4, 8, 16, 32, 64};
-  BenchReport report;
-  report.bench = "fig5";
-  report.p99_budget_ns = P99BudgetNs(report.bench);
-  report.tail_budget_ratio = TailBudgetRatio(report.bench);
-  report.config = {
-      {"cpus", CpuCount()},
-      {"workload", "sync microbenchmark (7.2.2)"},
-      {"locks", "8"},
-      {"delta_in_us", "1"},
-      {"delta_out_us", "0"},
-      {"signatures", "64"},
-      {"signature_size", "2"},
-      {"match_depth", "4"},
-      {"duration_ms", std::to_string(ToMillis(MeasureDuration(opts)))},
-      {"latency_sample_every", std::to_string(kBenchLatencySampleEvery)},
-      {"mode", opts.quick ? "quick" : "full"},
-  };
+// --- Figure 5: throughput vs. thread count -----------------------------------
+
+// Aggregate: the instrumented run at the highest thread count.
+BenchReport RunFig5(const Options& opts) {
+  const std::vector<int> thread_counts =
+      opts.quick ? std::vector<int>{2, 8, 16} : std::vector<int>{2, 4, 8, 16, 32, 64};
+  BenchReport report = NewReport("fig5", opts,
+                                 {
+                                     {"workload", "sync microbenchmark (7.2.2)"},
+                                     {"locks", "8"},
+                                     {"delta_in_us", "1"},
+                                     {"delta_out_us", "0"},
+                                     {"signatures", "64"},
+                                     {"signature_size", "2"},
+                                     {"match_depth", "4"},
+                                     {"latency_sample_every",
+                                      std::to_string(kBenchLatencySampleEvery)},
+                                 });
 
   for (const int threads : thread_counts) {
-    WorkloadParams params = BaseParams(opts, threads);
-
-    params.mode = WorkloadMode::kBaseline;
-    const WorkloadResult baseline = RunWorkload(params);
-    report.samples.push_back(ToSample("baseline", threads, baseline));
+    const WorkloadParams params = BaseParams(opts, threads);
+    const BenchSample baseline = RunBaseline("baseline", params);
+    report.samples.push_back(baseline);
 
     Runtime rt(InstrumentedConfig());
     LoadSyntheticHistory(rt);
-    params.mode = WorkloadMode::kDimmunix;
-    params.runtime = &rt;
-    const WorkloadResult dimx = RunWorkload(params);
-    report.samples.push_back(ToSample("dimmunix", threads, dimx));
+    const BenchSample dimx = RunDimmunix("dimmunix", params, rt);
+    report.samples.push_back(dimx);
     {
       // Matcher-health summary alongside the throughput line: epoch entries
       // near zero (one per history load) and slow path at zero are the
       // structural proof the incremental matcher is carrying the decisions.
       const EngineStatsSnapshot es = rt.engine().stats().Snapshot();
-      if (dimx.lock_ops > 0) {
-        report.samples.back().retries_per_op =
-            static_cast<double>(es.match_fast_retries) / static_cast<double>(dimx.lock_ops);
-      }
       std::printf("  matcher: fast=%llu slow=%llu retries=%llu epochs=%llu hold_us=%llu\n",
                   static_cast<unsigned long long>(es.match_fast_path),
                   static_cast<unsigned long long>(es.match_slow_path),
@@ -197,123 +235,70 @@ int RunFig5(const Options& opts) {
                   static_cast<unsigned long long>(es.epoch_entries),
                   static_cast<unsigned long long>(es.epoch_hold_ns / 1000));
     }
-
-    // Headline aggregate: the instrumented run at the highest thread count.
-    report.p50_ns = PercentileNs(dimx.latencies_ns, 0.50);
-    report.p99_ns = PercentileNs(dimx.latencies_ns, 0.99);
-    report.throughput_ops_s = dimx.ops_per_sec;
-
+    SetAggregate(&report, dimx);
     std::printf("fig5 threads=%3d baseline=%10.0f ops/s  dimmunix=%10.0f ops/s  "
                 "p50=%lluns p99=%lluns\n",
-                threads, baseline.ops_per_sec, dimx.ops_per_sec,
-                static_cast<unsigned long long>(report.p50_ns),
-                static_cast<unsigned long long>(report.p99_ns));
+                threads, baseline.throughput_ops_s, dimx.throughput_ops_s,
+                static_cast<unsigned long long>(dimx.p50_ns),
+                static_cast<unsigned long long>(dimx.p99_ns));
   }
-
-  const std::string path = opts.out.empty() ? BenchJsonPath("fig5") : opts.out;
-  if (!report.WriteFile(path)) {
-    std::fprintf(stderr, "benchjson: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return report;
 }
 
-int RunFig8(const Options& opts) {
+// --- persist: durable history off the hot path --------------------------------
+
+// `full` is the production engine; `full+persist` adds a live history file
+// with save-on-update and the async HistoryStore journaling/compacting.
+// History I/O is off the hot path, so it must track `full` within noise.
+// Aggregate: `full` at the highest thread count.
+BenchReport RunPersist(const Options& opts) {
   const std::vector<int> thread_counts =
       opts.quick ? std::vector<int>{8} : std::vector<int>{2, 8, 16};
-  struct Stage {
-    const char* label;
-    EngineStage stage;
-  };
-  const Stage stages[] = {
-      {"instr", EngineStage::kInstrumentationOnly},
-      {"data", EngineStage::kDataStructures},
-      {"full", EngineStage::kFull},
-  };
-
-  BenchReport report;
-  report.bench = "fig8";
-  report.p99_budget_ns = P99BudgetNs(report.bench);
-  report.tail_budget_ratio = TailBudgetRatio(report.bench);
-  report.config = {
-      {"cpus", CpuCount()},
-      {"workload", "sync microbenchmark (7.2.2), staged engine"},
-      {"locks", "8"},
-      {"delta_in_us", "1"},
-      {"delta_out_us", "0"},
-      {"signatures", "64"},
-      {"duration_ms", std::to_string(ToMillis(MeasureDuration(opts)))},
-      {"latency_sample_every", std::to_string(kBenchLatencySampleEvery)},
-      {"mode", opts.quick ? "quick" : "full"},
-  };
+  BenchReport report = NewReport("persist", opts,
+                                 {
+                                     {"workload", "sync microbenchmark (7.2.2), durable history"},
+                                     {"locks", "8"},
+                                     {"delta_in_us", "1"},
+                                     {"delta_out_us", "0"},
+                                     {"signatures", "64"},
+                                     {"latency_sample_every",
+                                      std::to_string(kBenchLatencySampleEvery)},
+                                 });
 
   for (const int threads : thread_counts) {
-    WorkloadParams params = BaseParams(opts, threads);
-    params.mode = WorkloadMode::kBaseline;
-    const WorkloadResult baseline = RunWorkload(params);
-    report.samples.push_back(ToSample("baseline", threads, baseline));
-    std::printf("fig8 threads=%3d baseline=%10.0f ops/s\n", threads, baseline.ops_per_sec);
+    const WorkloadParams params = BaseParams(opts, threads);
+    report.samples.push_back(RunBaseline("baseline", params));
+    std::printf("persist threads=%3d %12s=%10.0f ops/s\n", threads, "baseline",
+                report.samples.back().throughput_ops_s);
 
     double full_ops = 0.0;
-    for (const Stage& stage : stages) {
-      Config config = InstrumentedConfig();
-      config.stage = stage.stage;
+    {
+      Runtime rt(InstrumentedConfig());
+      LoadSyntheticHistory(rt);
+      const BenchSample full = RunDimmunix("full", params, rt);
+      report.samples.push_back(full);
+      SetAggregate(&report, full);
+      full_ops = full.throughput_ops_s;
+      std::printf("persist threads=%3d %12s=%10.0f ops/s\n", threads, "full", full_ops);
+    }
+
+    Config config = InstrumentedConfig();
+    config.history_path = BenchJsonPath("persist") + ".hist";
+    config.save_history_on_update = true;
+    config.load_history_on_init = false;  // fresh file every run
+    config.journal_threshold = 8;
+    persist::RemoveHistoryFiles(config.history_path);
+    {
       Runtime rt(config);
       LoadSyntheticHistory(rt);
-      params.mode = WorkloadMode::kDimmunix;
-      params.runtime = &rt;
-      const WorkloadResult result = RunWorkload(params);
-      report.samples.push_back(ToSample(stage.label, threads, result));
-      if (result.lock_ops > 0) {
-        const EngineStatsSnapshot es = rt.engine().stats().Snapshot();
-        report.samples.back().retries_per_op =
-            static_cast<double>(es.match_fast_retries) / static_cast<double>(result.lock_ops);
-      }
-      std::printf("fig8 threads=%3d %12s=%10.0f ops/s\n", threads, stage.label,
-                  result.ops_per_sec);
-      if (stage.stage == EngineStage::kFull) {
-        full_ops = result.ops_per_sec;
-        report.p50_ns = PercentileNs(result.latencies_ns, 0.50);
-        report.p99_ns = PercentileNs(result.latencies_ns, 0.99);
-        report.throughput_ops_s = result.ops_per_sec;
-      }
+      report.samples.push_back(RunDimmunix("full+persist", params, rt));
+      const double ops = report.samples.back().throughput_ops_s;
+      std::printf("persist threads=%3d %12s=%10.0f ops/s (%+.2f%% vs full)\n", threads,
+                  "full+persist", ops, full_ops > 0 ? (ops / full_ops - 1.0) * 100.0 : 0.0);
     }
-
-    // full + durable persistence: same engine stage, but with a live history
-    // file, save-on-update, and the async HistoryStore journaling/compacting.
-    // History I/O is off the hot path, so this must track "full" within
-    // noise — the number CI watches for regressions of that property.
-    {
-      Config config = InstrumentedConfig();
-      config.stage = EngineStage::kFull;
-      config.history_path = BenchJsonPath("fig8") + ".hist";
-      config.save_history_on_update = true;
-      config.load_history_on_init = false;  // fresh file every run
-      config.journal_threshold = 8;
-      persist::RemoveHistoryFiles(config.history_path);
-      {
-        Runtime rt(config);
-        LoadSyntheticHistory(rt);
-        params.mode = WorkloadMode::kDimmunix;
-        params.runtime = &rt;
-        const WorkloadResult result = RunWorkload(params);
-        report.samples.push_back(ToSample("full+persist", threads, result));
-        std::printf("fig8 threads=%3d %12s=%10.0f ops/s (%+.2f%% vs full)\n", threads,
-                    "full+persist", result.ops_per_sec,
-                    full_ops > 0 ? (result.ops_per_sec / full_ops - 1.0) * 100.0 : 0.0);
-      }
-      persist::RemoveHistoryFiles(config.history_path);
-    }
+    persist::RemoveHistoryFiles(config.history_path);
   }
-
-  const std::string path = opts.out.empty() ? BenchJsonPath("fig8") : opts.out;
-  if (!report.WriteFile(path)) {
-    std::fprintf(stderr, "benchjson: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return report;
 }
 
 // --- Figure 4: the two-process victim shape ----------------------------------
@@ -450,19 +435,15 @@ BenchSample RunFig4TwoProcess(const Options& opts, bool instrumented,
   return sample;
 }
 
-int RunFig4(const Options& opts) {
-  BenchReport report;
-  report.bench = "fig4";
-  report.p99_budget_ns = P99BudgetNs(report.bench);
-  report.config = {
-      {"cpus", CpuCount()},
-      {"workload", "two-process PROCESS_SHARED mutex victim + local fast path"},
-      {"processes", std::to_string(kFig4Processes)},
-      {"signatures", "64"},
-      {"duration_ms", std::to_string(ToMillis(MeasureDuration(opts)))},
-      {"latency_sample_every", std::to_string(kFig4SampleEvery)},
-      {"mode", opts.quick ? "quick" : "full"},
-  };
+BenchReport RunFig4(const Options& opts) {
+  BenchReport report =
+      NewReport("fig4", opts,
+                {
+                    {"workload", "two-process PROCESS_SHARED mutex victim + local fast path"},
+                    {"processes", std::to_string(kFig4Processes)},
+                    {"signatures", "64"},
+                    {"latency_sample_every", std::to_string(kFig4SampleEvery)},
+                });
   const std::string arena_path = BenchJsonPath("fig4") + ".arena";
 
   // (a) The two-process victim shape: global locks, arena publishing on
@@ -477,9 +458,7 @@ int RunFig4(const Options& opts) {
               instr.throughput_ops_s,
               instr.throughput_ops_s > 0 ? uninstr.throughput_ops_s / instr.throughput_ops_s
                                          : 0.0);
-  report.p50_ns = instr.p50_ns;
-  report.p99_ns = instr.p99_ns;
-  report.throughput_ops_s = instr.throughput_ops_s;
+  SetAggregate(&report, instr);
 
   // (b) The guarantee the striped engine must keep: configuring an arena
   // does not touch the LOCAL lock fast path (same striped workload, with
@@ -493,17 +472,194 @@ int RunFig4(const Options& opts) {
     }
     Runtime rt(config);
     LoadSyntheticHistory(rt);
-    WorkloadParams params = BaseParams(opts, local_threads);
-    params.mode = WorkloadMode::kDimmunix;
-    params.runtime = &rt;
-    const WorkloadResult result = RunWorkload(params);
     const char* label = with_ipc ? "local_fastpath+ipc" : "local_fastpath";
-    report.samples.push_back(ToSample(label, local_threads, result));
-    std::printf("fig4 %-28s=%12.0f ops/s\n", label, result.ops_per_sec);
+    report.samples.push_back(RunDimmunix(label, BaseParams(opts, local_threads), rt));
+    std::printf("fig4 %-28s=%12.0f ops/s\n", label, report.samples.back().throughput_ops_s);
   }
   ::unlink(arena_path.c_str());
+  return report;
+}
 
-  const std::string path = opts.out.empty() ? BenchJsonPath("fig4") : opts.out;
+
+// --- Figure 6: throughput vs. δin and δout ---------------------------------
+
+// Two sweeps: δin with δout = 1 ms, then δout with δin = 1 µs. The overhead
+// is largest with no time between critical sections and is absorbed as the
+// deltas grow. Labels are "<mode> din=<us> dout=<us>". Aggregate: the
+// instrumented din=1 dout=0 point, the configuration of fig5.
+BenchReport RunFig6(const Options& opts) {
+  constexpr int kThreads = 8;
+  const std::vector<std::int64_t> deltas =
+      opts.quick ? std::vector<std::int64_t>{0, 10, 1000}
+                 : std::vector<std::int64_t>{0, 1, 10, 100, 1000, 10000};
+  BenchReport report = NewReport("fig6", opts,
+                                 {
+                                     {"workload", "sync microbenchmark (7.2.2), delta sweep"},
+                                     {"locks", "8"},
+                                     {"signatures", "64"},
+                                     {"match_depth", "4"},
+                                     {"sweeps", "delta_in at delta_out=1000; "
+                                                "delta_out at delta_in=1"},
+                                 });
+  const auto point = [&](std::int64_t din, std::int64_t dout) {
+    WorkloadParams params = BaseParams(opts, kThreads);
+    params.delta_in_us = din;
+    params.delta_out_us = dout;
+    const std::string tag = " din=" + std::to_string(din) + " dout=" + std::to_string(dout);
+    const BenchSample baseline = RunBaseline("baseline" + tag, params);
+    report.samples.push_back(baseline);
+    Runtime rt(InstrumentedConfig());
+    LoadSyntheticHistory(rt);
+    const BenchSample dimx = RunDimmunix("dimmunix" + tag, params, rt);
+    report.samples.push_back(dimx);
+    if (din == 1 && dout == 0) {
+      SetAggregate(&report, dimx);
+    }
+    std::printf("fig6 din=%6lld dout=%6lld baseline=%10.0f dimmunix=%10.0f ops/s\n",
+                static_cast<long long>(din), static_cast<long long>(dout),
+                baseline.throughput_ops_s, dimx.throughput_ops_s);
+  };
+  // Both delta lists hold 0 and 1000, so the δout sweep measures the
+  // aggregate point and the din=1 dout=1000 point the two sweeps share.
+  for (const std::int64_t dout : deltas) {
+    point(1, dout);
+  }
+  for (const std::int64_t din : deltas) {
+    if (din != 1) {
+      point(din, 1000);
+    }
+  }
+  return report;
+}
+
+// --- Figure 7: throughput vs. history size -----------------------------------
+
+// History sizes H at matching depth 4 and 8. Searching the history should
+// be a negligible part of the overhead: throughput stays flat across H.
+// Labels are "depth<d> H=<n>". Aggregate: the largest H at depth 8.
+BenchReport RunFig7(const Options& opts) {
+  constexpr int kThreads = 8;
+  const std::vector<int> sizes =
+      opts.quick ? std::vector<int>{4, 64, 256} : std::vector<int>{2, 4, 8, 16, 32, 64, 128, 256};
+  BenchReport report = NewReport("fig7", opts,
+                                 {
+                                     {"workload", "sync microbenchmark (7.2.2), history sweep"},
+                                     {"locks", "8"},
+                                     {"delta_in_us", "1"},
+                                     {"delta_out_us", "0"},
+                                     {"signature_size", "2"},
+                                 });
+  const WorkloadParams params = BaseParams(opts, kThreads);
+  report.samples.push_back(RunBaseline("baseline", params));
+  std::printf("fig7 baseline=%10.0f ops/s\n", report.samples.back().throughput_ops_s);
+  for (const int depth : {4, 8}) {
+    for (const int signatures : sizes) {
+      Runtime rt(InstrumentedConfig(depth));
+      LoadSyntheticHistory(rt, {.signatures = signatures, .match_depth = depth});
+      const std::string label =
+          "depth" + std::to_string(depth) + " H=" + std::to_string(signatures);
+      report.samples.push_back(RunDimmunix(label, params, rt));
+      SetAggregate(&report, report.samples.back());
+      std::printf("fig7 %-14s=%10.0f ops/s\n", label.c_str(),
+                  report.samples.back().throughput_ops_s);
+    }
+  }
+  return report;
+}
+
+// --- Figure 9: false positives vs. matching depth ----------------------------
+
+// Paper setup: D = 10 frame towers, 64 two-stack signatures, δin = δout =
+// 1 ms, calibration off, matching depth 1..10. A yield is a false positive
+// when the matched cover no longer matches at depth D (fp_yields). ~100
+// lock sites with branching-2 towers give the gate-lock baseline tens of
+// gates for the 64 signatures (paper: 45), and the deltas sleep so lost
+// parallelism shows in throughput. The `gate_locks` sample's fp_yields are
+// its contended gate acquisitions: every lock op through a gated position
+// serializes, dangerous or not. Labels are "depth=<k>". Aggregate: the
+// deepest depth measured.
+BenchReport RunFig9(const Options& opts) {
+  constexpr int kSites = 100;
+  constexpr int kBranching = 2;
+  constexpr int kStackDepth = 10;
+  const int threads = opts.quick ? 32 : 64;
+  const std::vector<int> depths =
+      opts.quick ? std::vector<int>{1, 4, 10} : std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  WorkloadParams params = BaseParams(opts, threads);
+  params.delta_in_us = 1000;
+  params.delta_out_us = 1000;
+  params.stack_depth = kStackDepth;
+  params.branching = kBranching;
+  params.site_choices = kSites;
+  params.sleep_inside = true;
+  params.sleep_outside = true;
+  const SynthHistoryParams sigs{.signatures = 64,
+                                .signature_size = 2,
+                                .stack_depth = kStackDepth,
+                                .branching = kBranching,
+                                .site_choices = kSites};
+
+  BenchReport report = NewReport("fig9", opts,
+                                 {
+                                     {"workload", "sync microbenchmark (7.2.2), depth sweep"},
+                                     {"locks", "8"},
+                                     {"delta_in_us", "1000 (sleep)"},
+                                     {"delta_out_us", "1000 (sleep)"},
+                                     {"stack_depth", std::to_string(kStackDepth)},
+                                     {"lock_sites", std::to_string(kSites)},
+                                     {"signatures", "64"},
+                                     {"signature_size", "2"},
+                                 });
+  report.samples.push_back(RunBaseline("baseline", params));
+  std::printf("fig9 baseline=%10.0f ops/s\n", report.samples.back().throughput_ops_s);
+
+  for (const int depth : depths) {
+    Config config = InstrumentedConfig(depth);
+    config.max_match_depth = kStackDepth;
+    config.yield_timeout = std::chrono::milliseconds(20);
+    config.auto_disable_aborts = 0;  // keep avoiding even when aborted often
+    Runtime rt(config);
+    SynthHistoryParams depth_sigs = sigs;
+    depth_sigs.match_depth = depth;
+    LoadSyntheticHistory(rt, depth_sigs);
+    BenchSample sample = RunDimmunix("depth=" + std::to_string(depth), params, rt);
+    sample.fp_yields = static_cast<std::int64_t>(rt.engine().stats().depth_fp_yields.load());
+    report.samples.push_back(sample);
+    SetAggregate(&report, sample);
+    std::printf("fig9 depth=%2d %10.0f ops/s fp_yields=%lld true_yields=%llu\n", depth,
+                sample.throughput_ops_s, static_cast<long long>(sample.fp_yields),
+                static_cast<unsigned long long>(rt.engine().stats().depth_true_yields.load()));
+  }
+
+  // Gate-lock baseline [17] over the same 64 signatures.
+  StackTable gate_table(kStackDepth);
+  History gate_history(&gate_table);
+  GenerateSyntheticHistory(&gate_history, &gate_table, sigs);
+  GateLockAvoider gates(gate_history, gate_table);
+  params.mode = WorkloadMode::kGateLocks;
+  params.gates = &gates;
+  BenchSample gate_sample = ToSample("gate_locks", threads, RunWorkload(params));
+  gate_sample.fp_yields = static_cast<std::int64_t>(gates.contended_acquisitions());
+  report.samples.push_back(gate_sample);
+  report.config.emplace_back("gate_locks", std::to_string(gates.gate_count()));
+  std::printf("fig9 gate_locks (%zu gates) %10.0f ops/s contended=%lld\n", gates.gate_count(),
+              gate_sample.throughput_ops_s, static_cast<long long>(gate_sample.fp_yields));
+  return report;
+}
+
+struct Bench {
+  const char* name;
+  BenchReport (*run)(const Options&);
+};
+
+constexpr Bench kBenches[] = {
+    {"fig4", RunFig4}, {"fig5", RunFig5}, {"persist", RunPersist},
+    {"fig6", RunFig6}, {"fig7", RunFig7}, {"fig9", RunFig9},
+};
+
+int RunAndWrite(const Bench& bench, const Options& opts) {
+  const BenchReport report = bench.run(opts);
+  const std::string path = opts.out.empty() ? BenchJsonPath(bench.name) : opts.out;
   if (!report.WriteFile(path)) {
     std::fprintf(stderr, "benchjson: cannot write %s\n", path.c_str());
     return 1;
@@ -514,7 +670,8 @@ int RunFig4(const Options& opts) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: benchjson --bench fig4|fig5|fig8|all [--quick] [--out PATH]\n"
+               "usage: benchjson --bench fig4|fig5|persist|fig6|fig7|fig9|all [--quick] "
+               "[--out PATH]\n"
                "  --quick  CI smoke mode (fewer points, 250 ms per point)\n"
                "  --out    output path (default BENCH_<bench>.json in CWD)\n");
   return 2;
@@ -534,24 +691,22 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (opts.bench == "fig4") {
-    return RunFig4(opts);
-  }
-  if (opts.bench == "fig5") {
-    return RunFig5(opts);
-  }
-  if (opts.bench == "fig8") {
-    return RunFig8(opts);
-  }
   if (opts.bench == "all") {
     if (!opts.out.empty()) {
       std::fprintf(stderr, "benchjson: --out is incompatible with --bench all\n");
       return 2;
     }
-    const int fig4 = RunFig4(opts);
-    const int fig5 = RunFig5(opts);
-    const int fig8 = RunFig8(opts);
-    return fig4 != 0 ? fig4 : (fig5 != 0 ? fig5 : fig8);
+    int status = 0;
+    for (const Bench& bench : kBenches) {
+      const int rc = RunAndWrite(bench, opts);
+      status = status != 0 ? status : rc;
+    }
+    return status;
+  }
+  for (const Bench& bench : kBenches) {
+    if (opts.bench == bench.name) {
+      return RunAndWrite(bench, opts);
+    }
   }
   return Usage();
 }
