@@ -13,7 +13,11 @@ Five checks, all cheap enough to run on every push:
 3. Knob guard — the set of DIMMUNIX_* environment variables that src/ and
    tools/ read (getenv, or the Getenv/Env* helpers of
    src/common/config.cc) must equal the README "Environment knobs" list.
-   A knob added or removed without its README line fails CI.
+   A knob added or removed without its README line fails CI. Every
+   DIMMUNIX_* name in docs/*.md must also be a knob the code reads, a
+   macro #defined in src/, or a CMake/script variable (set() or option()
+   in CMakeLists.txt, ${...} in scripts/*.sh), so a removed knob cannot
+   linger in a docs table.
 4. Orphan-report guard — every committed BENCH_<name>.json at the repo
    root must have a `benchjson --bench <name>` step in
    .github/workflows/ci.yml, so no report outlives the bench that
@@ -37,6 +41,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # A DIMMUNIX_* name passed as a string literal to an environment reader.
 KNOB_READ_RE = re.compile(r"\b(?:getenv|Getenv|Env[A-Za-z]+)\(\s*\"(DIMMUNIX_[A-Z0-9_]+)\"")
 KNOB_NAME_RE = re.compile(r"`(DIMMUNIX_[A-Z0-9_]+)")
+ANY_NAME_RE = re.compile(r"\b(DIMMUNIX_[A-Z0-9_]+)")
+MACRO_RE = re.compile(r"#\s*define\s+(DIMMUNIX_[A-Z0-9_]+)")
+CMAKE_VAR_RE = re.compile(r"\b(?:set|option)\(\s*(DIMMUNIX_[A-Z0-9_]+)")
+SCRIPT_VAR_RE = re.compile(r"\$\{(DIMMUNIX_[A-Z0-9_]+)")
 
 # benchjson's usage line lists every bench it runs: "--bench a|b|...|all".
 USAGE_RE = re.compile(r"usage: benchjson --bench ([a-z0-9|]+)")
@@ -107,6 +115,19 @@ def knobs_documented() -> set[str] | None:
     return set(KNOB_NAME_RE.findall(text[start : end if end >= 0 else len(text)]))
 
 
+def build_names() -> set[str]:
+    """DIMMUNIX_* names that are not environment knobs but may appear in
+    docs: macros defined in src/ and CMake/script variables."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.suffix in (".cc", ".h"):
+            names.update(MACRO_RE.findall(path.read_text(encoding="utf-8")))
+    names.update(CMAKE_VAR_RE.findall((ROOT / "CMakeLists.txt").read_text(encoding="utf-8")))
+    for path in sorted((ROOT / "scripts").glob("*.sh")):
+        names.update(SCRIPT_VAR_RE.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
 def check_knobs() -> list[str]:
     documented = knobs_documented()
     if documented is None:
@@ -116,6 +137,11 @@ def check_knobs() -> list[str]:
               for k in sorted(read - documented)]
     errors += [f"README.md: knob {k} is listed but never read by src/ or tools/"
                for k in sorted(documented - read)]
+    known = read | build_names()
+    for md in sorted((ROOT / "docs").glob("*.md")):
+        for name in sorted(set(ANY_NAME_RE.findall(md.read_text(encoding="utf-8"))) - known):
+            errors.append(f"{md.relative_to(ROOT)}: {name} is not a knob the code reads, "
+                          "a macro in src/, or a CMake/script variable")
     print(f"docs-check: {len(read)} DIMMUNIX_* environment knobs read by src/ and tools/")
     return errors
 

@@ -80,7 +80,6 @@ Config Config::FromEnvironment(Config base) {
     base.fleet_daemon = f;
   }
   base.trace_enabled = EnvBool("DIMMUNIX_TRACE", base.trace_enabled);
-  base.trace_ring_size = static_cast<int>(EnvLong("DIMMUNIX_TRACE_RING", base.trace_ring_size));
   if (const char* td = Getenv("DIMMUNIX_TRACE_DUMP"); td != nullptr && *td != '\0') {
     base.trace_dump_path = td;
   }
@@ -89,9 +88,6 @@ Config Config::FromEnvironment(Config base) {
   if (const char* inc = Getenv("DIMMUNIX_INCIDENT_DIR"); inc != nullptr && *inc != '\0') {
     base.incident_dir = inc;
   }
-  base.incident_max = static_cast<int>(EnvLong("DIMMUNIX_INCIDENT_MAX", base.incident_max));
-  base.incident_min_period = std::chrono::milliseconds(
-      EnvLong("DIMMUNIX_INCIDENT_MIN_MS", base.incident_min_period.count()));
   return base;
 }
 

@@ -68,7 +68,6 @@ struct Config {
   // --- History -------------------------------------------------------------
   std::string history_path;       // empty = in-memory only
   bool load_history_on_init = true;
-  bool save_history_on_update = true;
   // Journal records appended (by this process) before the HistoryStore
   // compacts them into a fresh v2 snapshot. <= 0 compacts on every delta.
   int journal_threshold = 64;
@@ -113,10 +112,6 @@ struct Config {
   // the first lock operation. Also toggleable live via `dimctl trace
   // start|stop`. Off = one relaxed load + branch per instrumentation site.
   bool trace_enabled = false;
-  // Events per per-thread trace ring (rounded up to a power of two, 32
-  // bytes each). Full rings overwrite their oldest events — flight-recorder
-  // semantics; the dropped count is reported in dumps.
-  int trace_ring_size = 8192;
   // Non-empty: dump the recorded trace as Chrome trace_event JSON to this
   // path at process exit / runtime destruction ("%p" expands to the pid, so
   // fleets sharing the setting write one file per process).
@@ -136,12 +131,10 @@ struct Config {
   // Non-empty: when the monitor detects a cycle, avoids one, or breaks a
   // starvation, write a structured JSON incident bundle (signature, RAG
   // snapshot, victim's recent trace events, histogram percentiles, active
-  // alerts) into this directory. Empty = forensics off, zero overhead.
+  // alerts) into this directory. Empty = forensics off, zero overhead. The
+  // directory keeps the newest obs::IncidentLog::Options::max_files bundles,
+  // at most one per min_period.
   std::string incident_dir;
-  int incident_max = 16;  // bounded file ring; oldest bundles evicted
-  // Minimum spacing between bundles (an avoidance storm must not turn the
-  // incident directory into a write amplifier).
-  std::chrono::milliseconds incident_min_period{1000};
 
   // Reads DIMMUNIX_* environment variables over the current values:
   //   DIMMUNIX_HISTORY, DIMMUNIX_TAU_MS, DIMMUNIX_DEPTH, DIMMUNIX_MAX_DEPTH,
@@ -153,12 +146,11 @@ struct Config {
   //   DIMMUNIX_JOURNAL_THRESHOLD, DIMMUNIX_JOURNAL_FSYNC (0|1),
   //   DIMMUNIX_RESYNC_MS (0 = off),
   //   DIMMUNIX_IPC (arena path), DIMMUNIX_IPC_BRIDGE_MS,
-  //   DIMMUNIX_TRACE (0|1), DIMMUNIX_TRACE_RING (events per thread),
+  //   DIMMUNIX_TRACE (0|1),
   //   DIMMUNIX_TRACE_DUMP (Chrome-JSON dump path, %p -> pid),
   //   DIMMUNIX_METRICS (0|1, default 1),
   //   DIMMUNIX_HEALTH (0|1, default 1),
   //   DIMMUNIX_INCIDENT_DIR (incident-bundle directory, empty = off),
-  //   DIMMUNIX_INCIDENT_MAX, DIMMUNIX_INCIDENT_MIN_MS,
   //   DIMMUNIX_PROC_TAG (process identity for proc-qualified signatures;
   //   defaults to the executable path — read by src/ipc/global_id.cc).
   // Malformed numbers, and periods (DIMMUNIX_TAU_MS, DIMMUNIX_IPC_BRIDGE_MS)

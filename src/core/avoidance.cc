@@ -85,6 +85,20 @@ bool IsReentrant(ThreadSlot& slot, LockId lock, AcquireMode mode) {
   return held != nullptr && (held->mode == AcquireMode::kExclusive || mode == AcquireMode::kShared);
 }
 
+// Captures the requesting thread's stack into `captured`, proc-qualified
+// when `pub` publishes the lock fleet-wide, and interns it. `captured` is
+// the caller's, so it stays alive until the request returns: freeing it
+// before the match measurably lengthened the acquire path. Always inlined,
+// so the native capture still starts at the requester's caller.
+[[gnu::always_inline]] inline StackId CaptureStackId(StackTable& stacks, GlobalEdgePublisher* pub,
+                                                     std::vector<Frame>& captured) {
+  captured = CaptureStack();
+  if (pub != nullptr) {
+    captured.insert(captured.begin(), pub->ProcFrame());
+  }
+  return stacks.Intern(captured);
+}
+
 }  // namespace
 
 AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, History* history,
@@ -796,6 +810,16 @@ RequestDecision AvoidanceEngine::Grant(ThreadSlot& slot, ThreadId thread, LockId
   return RequestDecision::kGo;
 }
 
+void AvoidanceEngine::StageAllow(ThreadSlot& slot, ThreadId thread, LockId lock, StackId stack,
+                                 AcquireMode mode, GlobalEdgePublisher* pub) {
+  AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &MatchScratch());
+  slot.pending_stack = stack;
+  slot.pending_lock = lock;
+  if (pub != nullptr) {
+    pub->PublishWait(thread, lock, stack, mode);
+  }
+}
+
 std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::Decide(
     ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
     bool yield_on_match) {
@@ -838,14 +862,8 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
   ThreadSlot& slot = BeginRequest(thread);
 
   GlobalEdgePublisher* pub = PublisherFor(lock);
-  // Global-lock stacks are proc-qualified. The capture stays alive until the
-  // request returns: freeing it before the match measurably lengthened the
-  // acquire path.
-  std::vector<Frame> captured = CaptureStack();
-  if (pub != nullptr) {
-    captured.insert(captured.begin(), pub->ProcFrame());
-  }
-  const StackId stack = stacks_->Intern(captured);
+  std::vector<Frame> captured;
+  const StackId stack = CaptureStackId(*stacks_, pub, captured);
   // A broken or timed-out request withdraws its published wait edge.
   const auto abandon = [&](RequestDecision decision) {
     if (pub != nullptr) {
@@ -865,15 +883,9 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
       return RequestDecision::kReentrant;
     }
 
-    // Tentatively add the allow edge to the RAG cache (§5.4) — before the
-    // fast reject, so two racing requesters cannot both miss each other.
-    // The add also records this request's candidate signatures.
-    AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &MatchScratch());
-    slot.pending_stack = stack;
-    slot.pending_lock = lock;
-    if (pub != nullptr) {
-      pub->PublishWait(thread, lock, stack, mode);
-    }
+    // Staged before the fast reject, so two racing requesters cannot both
+    // miss each other.
+    StageAllow(slot, thread, lock, stack, mode, pub);
 
     std::optional<MatchResult> match;
     if (!slot.skip_avoidance_once.exchange(false, std::memory_order_acq_rel)) {
@@ -990,22 +1002,14 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
   }
   ThreadSlot& slot = BeginRequest(thread);
   GlobalEdgePublisher* pub = PublisherFor(lock);
-  std::vector<Frame> captured = CaptureStack();
-  if (pub != nullptr) {
-    captured.insert(captured.begin(), pub->ProcFrame());
-  }
-  const StackId stack = stacks_->Intern(captured);
+  std::vector<Frame> captured;
+  const StackId stack = CaptureStackId(*stacks_, pub, captured);
   if (IsReentrant(slot, lock, mode)) {
     stats_.reentrant_acquisitions.fetch_add(1, std::memory_order_relaxed);
     return RequestDecision::kReentrant;  // caller resolves against lock kind
   }
 
-  AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &MatchScratch());
-  slot.pending_stack = stack;
-  slot.pending_lock = lock;
-  if (pub != nullptr) {
-    pub->PublishWait(thread, lock, stack, mode);
-  }
+  StageAllow(slot, thread, lock, stack, mode, pub);
 
   if (!config_.ignore_yield_decisions) {
     if (const std::optional<MatchResult> match =
@@ -1021,6 +1025,57 @@ RequestDecision AvoidanceEngine::RequestNonblocking(ThreadId thread, LockId lock
     }
   }
   return Grant(slot, thread, lock, stack, mode);
+}
+
+void AvoidanceEngine::FlipToHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
+  StackSlot* stack_slot = SlotFor(stack);
+  SlotStripe& stripe = StripeOf(stack);
+  std::lock_guard<SpinLock> guard(stripe.lock);
+  for (auto& tuple : stack_slot->tuples) {
+    if (tuple.thread == thread && tuple.lock == lock) {
+      tuple.held = true;
+      return;
+    }
+  }
+  AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
+}
+
+AvoidanceEngine::DroppedHold AvoidanceEngine::DropHolder(ThreadId thread, LockId lock) {
+  DroppedHold dropped;
+  lock_owners_.WithStripe(lock, [&](auto& owners) {
+    auto it = owners.find(lock);
+    if (it == owners.end()) {
+      return;
+    }
+    LockOwnerInfo& info = it->second;
+    dropped.mode = info.mode;
+    if (LockHolder* holder = info.HolderFor(thread); holder != nullptr) {
+      dropped.stack = holder->stack;
+      if (--holder->count <= 0) {
+        // This thread's hold ends (other shared holders may remain). A
+        // fully-released entry stays in the map as a tombstone — every
+        // reader treats empty holders as "free", and keeping the node (and
+        // the holder vector's capacity) makes the next acquisition
+        // allocation-free.
+        dropped.final_release = true;
+        info.holders.erase(info.holders.begin() + (holder - info.holders.data()));
+      }
+    }
+  });
+  return dropped;
+}
+
+void AvoidanceEngine::RetireTuple(StackId stack, ThreadId thread, LockId lock, bool held) {
+  RemoveTuple(stack, thread, lock, held);
+  // Lock conditions changed in a way that could let yielders make progress
+  // (§5.1: "Dimmunix reschedules the paused thread T whenever lock
+  // conditions change"). yield_count_ lets the common no-yielders case
+  // skip the yield-set lock: a yielder that matched this tuple registered
+  // before we could remove it (the match holds every stripe), and the
+  // removal above synchronizes with its registration.
+  if (yield_count_.load(std::memory_order_seq_cst) > 0) {
+    WakeYieldersOf(thread, lock, stack);
+  }
 }
 
 void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
@@ -1080,21 +1135,7 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
     }
   } else {
     slot.held.push_back(ThreadSlot::Held{lock, stack, 1, mode});
-    // Allow edge -> hold edge in the RAG cache.
-    StackSlot* stack_slot = SlotFor(stack);
-    SlotStripe& stripe = StripeOf(stack);
-    std::lock_guard<SpinLock> guard(stripe.lock);
-    bool found = false;
-    for (auto& tuple : stack_slot->tuples) {
-      if (tuple.thread == thread && tuple.lock == lock) {
-        tuple.held = true;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
-    }
+    FlipToHold(thread, lock, stack, mode);
   }
   if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr) {
     // Promotes the published wait row to a hold (reentrant holds bump the
@@ -1143,29 +1184,7 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
     return;
   }
   ThreadSlot& slot = registry_.Slot(thread);
-  StackId stack = kInvalidStackId;
-  AcquireMode mode = AcquireMode::kExclusive;
-  bool final_release = false;
-  lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    if (it == owners.end()) {
-      return;
-    }
-    LockOwnerInfo& info = it->second;
-    mode = info.mode;
-    if (LockHolder* holder = info.HolderFor(thread); holder != nullptr) {
-      stack = holder->stack;
-      if (--holder->count <= 0) {
-        // This thread's hold ends (other shared holders may remain). A
-        // fully-released entry stays in the map as a tombstone — every
-        // reader treats empty holders as "free", and keeping the node (and
-        // the holder vector's capacity) makes the next acquisition
-        // allocation-free.
-        final_release = true;
-        info.holders.erase(info.holders.begin() + (holder - info.holders.data()));
-      }
-    }
-  });
+  const auto [stack, mode, final_release] = DropHolder(thread, lock);
   if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr && --held->count <= 0) {
     slot.held.erase(slot.held.begin() + (held - slot.held.data()));
   }
@@ -1176,16 +1195,7 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
     pub->ClearHold(thread, lock);
   }
   if (final_release) {
-    RemoveTuple(stack, thread, lock, /*held=*/true);
-    // Lock conditions changed in a way that could let yielders make
-    // progress (§5.1: "Dimmunix reschedules the paused thread T whenever
-    // lock conditions change"). yield_count_ lets the common no-yielders
-    // case skip the yield-set lock: a yielder that matched our hold tuple
-    // registered before we could remove that tuple (the match holds every
-    // stripe), and the removal above synchronizes with its registration.
-    if (yield_count_.load(std::memory_order_seq_cst) > 0) {
-      WakeYieldersOf(thread, lock, stack);
-    }
+    RetireTuple(stack, thread, lock, /*held=*/true);
   }
   BufferHotEvent(slot, MakeEvent(EventType::kRelease, thread, lock, stack, mode));
   stats_.releases.fetch_add(1, std::memory_order_relaxed);
@@ -1199,12 +1209,9 @@ void AvoidanceEngine::CancelRequest(ThreadId thread, LockId lock, AcquireMode mo
   ThreadSlot& slot = registry_.Slot(thread);
   const StackId stack = slot.pending_stack;
   if (stack != kInvalidStackId) {
-    RemoveTuple(stack, thread, lock, /*held=*/false);
     // A canceled request retires an allow edge other yielders may have
     // matched; let them re-decide instead of waiting out their timeout.
-    if (yield_count_.load(std::memory_order_seq_cst) > 0) {
-      WakeYieldersOf(thread, lock, stack);
-    }
+    RetireTuple(stack, thread, lock, /*held=*/false);
   }
   if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr) {
     pub->ClearWait(thread, lock);
@@ -1351,11 +1358,8 @@ void AvoidanceEngine::MirrorForeignWaitEnd(ThreadId thread, LockId lock, StackId
   if (!config_.enabled || entry.nested()) {
     return;
   }
-  RemoveTuple(stack, thread, lock, /*held=*/false);
   // A withdrawn foreign wait dissolves any local instantiation built on it.
-  if (yield_count_.load(std::memory_order_seq_cst) > 0) {
-    WakeYieldersOf(thread, lock, stack);
-  }
+  RetireTuple(stack, thread, lock, /*held=*/false);
   queue_->Push(MakeEvent(EventType::kCancel, thread, lock, stack, mode));
 }
 
@@ -1395,22 +1399,7 @@ void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId st
     }
   });
   if (!already_holding) {
-    // Flip a standing foreign wait tuple into a hold, or add a fresh one —
-    // the same allow -> hold transition Acquired() performs locally.
-    StackSlot* stack_slot = SlotFor(stack);
-    SlotStripe& stripe = StripeOf(stack);
-    std::lock_guard<SpinLock> guard(stripe.lock);
-    bool found = false;
-    for (auto& tuple : stack_slot->tuples) {
-      if (tuple.thread == thread && tuple.lock == lock) {
-        tuple.held = true;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
-    }
+    FlipToHold(thread, lock, stack, mode);
   }
   DIMMUNIX_LOG(kDebug) << "foreign hold: thread " << thread << " lock " << lock << " stack "
                        << stack << " (" << stacks_->Describe(stack) << ")";
@@ -1423,30 +1412,12 @@ void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId
   if (!config_.enabled || entry.nested()) {
     return;
   }
-  bool final_release = false;
-  lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    if (it == owners.end()) {
-      return;
-    }
-    if (LockHolder* holder = it->second.HolderFor(thread); holder != nullptr) {
-      if (--holder->count <= 0) {
-        final_release = true;
-        it->second.holders.erase(it->second.holders.begin() +
-                                 (holder - it->second.holders.data()));
-        // Empty entries stay as tombstones, same as local Release().
-      }
-    }
-  });
-  if (final_release) {
-    RemoveTuple(stack, thread, lock, /*held=*/true);
+  if (DropHolder(thread, lock).final_release) {
     // A foreign release changes lock conditions exactly like a local one:
     // yielders whose causes name this foreign hold can retry now. This is
     // the wake-up that lets a process resume once the peer it dodged has
     // finished its critical section.
-    if (yield_count_.load(std::memory_order_seq_cst) > 0) {
-      WakeYieldersOf(thread, lock, stack);
-    }
+    RetireTuple(stack, thread, lock, /*held=*/true);
   }
   queue_->Push(MakeEvent(EventType::kRelease, thread, lock, stack, mode));
 }

@@ -536,6 +536,27 @@ class AvoidanceEngine {
   // Grants the request: stages its kAllow event and counts the GO.
   RequestDecision Grant(ThreadSlot& slot, ThreadId thread, LockId lock, StackId stack,
                         AcquireMode mode);
+  // Stages the request's tentative allow edge in the RAG cache (§5.4): the
+  // tuple add (which also records the requester's candidate signatures),
+  // the slot's pending request, and a global lock's published wait edge.
+  void StageAllow(ThreadSlot& slot, ThreadId thread, LockId lock, StackId stack, AcquireMode mode,
+                  GlobalEdgePublisher* pub);
+  // Allow edge -> hold edge in the RAG cache, for local and foreign holds
+  // alike: flips (thread, lock)'s standing tuple to held, or adds a held
+  // tuple when none stands.
+  void FlipToHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode);
+  // Drops one of `thread`'s holds on `lock` from the owner map, for local
+  // and foreign releases alike. `stack` is the holder's (invalid when the
+  // thread held nothing) and `mode` the lock's recorded mode.
+  struct DroppedHold {
+    StackId stack = kInvalidStackId;
+    AcquireMode mode = AcquireMode::kExclusive;
+    bool final_release = false;  // the thread's hold ended
+  };
+  DroppedHold DropHolder(ThreadId thread, LockId lock);
+  // Removes (thread, lock)'s tuple, then wakes the yielders whose cover
+  // named it so they re-decide now instead of at their timeout.
+  void RetireTuple(StackId stack, ThreadId thread, LockId lock, bool held);
 
   // Copies the live tuples of every position of `cands` into scratch.pools.
   // With `lock_stripes` (incremental matcher) each stripe is locked in turn

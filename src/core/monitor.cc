@@ -199,15 +199,11 @@ int Monitor::ArchiveSignature(SignatureKind kind, const std::vector<StackId>& st
 }
 
 void Monitor::PersistHistory(int signature_index) {
-  if (config_.history_path.empty() || !config_.save_history_on_update) {
-    return;
-  }
+  // The runtime creates the store exactly when a history path is set. O(1)
+  // enqueue: the store's writer thread journals the delta, so file I/O
+  // never delays the detection loop (or, worse, event draining).
   if (store_ != nullptr) {
-    // O(1) enqueue: the store's writer thread journals the delta, so file
-    // I/O never delays the detection loop (or, worse, event draining).
     store_->NotifySignatureChanged(signature_index);
-  } else {
-    history_->Save(config_.history_path);
   }
 }
 

@@ -35,15 +35,11 @@ void DumpTraceAtExit() {
 Runtime::Runtime(Config config) : config_(std::move(config)) {
   obs::Recorder::Options rec_options;
   rec_options.trace_enabled = config_.trace_enabled;
-  rec_options.ring_capacity = static_cast<std::size_t>(
-      config_.trace_ring_size > 0 ? config_.trace_ring_size : 8192);
   rec_options.metrics_enabled = config_.metrics_enabled;
   recorder_ = std::make_unique<obs::Recorder>(rec_options);
   health_ = std::make_unique<obs::HealthEngine>(obs::HealthThresholds{});
   obs::IncidentLog::Options incident_options;
   incident_options.dir = config_.incident_dir;
-  incident_options.max_files = config_.incident_max;
-  incident_options.min_period = config_.incident_min_period;
   incidents_ =
       std::make_unique<obs::IncidentLog>(incident_options, recorder_.get(), health_.get());
   incidents_->SetRuntimeJsonProvider([this] { return RuntimeIncidentJson(); });
@@ -62,7 +58,6 @@ Runtime::Runtime(Config config) : config_(std::move(config)) {
     store_options.fsync_appends = config_.journal_fsync;
     store_options.resync_period = config_.history_resync_period;
     store_options.merge_on_start = config_.load_history_on_init;
-    store_options.read_mostly = !config_.save_history_on_update;
     store_ = std::make_unique<persist::HistoryStore>(store_options, history_.get(),
                                                      stacks_.get(), recorder_.get());
     // Signatures merged from the shared file must take effect immediately:
@@ -346,8 +341,6 @@ void Runtime::PersistHistory() {
   // returns, it is durable (merged, not overwriting other processes' work).
   if (store_) {
     store_->SaveNow();
-  } else if (!config_.history_path.empty()) {
-    history_->Save(config_.history_path);
   }
 }
 

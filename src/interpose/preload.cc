@@ -259,10 +259,26 @@ void ReleaseCorpseHold(dimmunix::Runtime* runtime, dimmunix::LockId id) {
   runtime->engine().Release(owner, id);
 }
 
+// The post-block step of every wrapper, given the real call's result. A
+// pthread acquisition cannot be cancelled, so the real lock can succeed
+// even after a kBroken grant rollback — Commit records the hold in every
+// decision state, and Cancel is a no-op unless a kGo edge is standing.
 // EOWNERDEAD and 0 both mean "caller now owns the lock" (the caller is
 // expected to repair the state and call pthread_mutex_consistent; either
 // way the hold is real and must be recorded).
-bool Acquired(int rc) { return rc == 0 || rc == EOWNERDEAD; }
+int Settle(dimmunix::Runtime* runtime, dimmunix::AcquireOp& op, dimmunix::LockId id, int rc) {
+  tls_in_hook = true;
+  if (rc == 0 || rc == EOWNERDEAD) {
+    if (rc == EOWNERDEAD) {
+      ReleaseCorpseHold(runtime, id);
+    }
+    op.Commit();
+  } else {
+    op.Cancel();  // busy or timed out: the §6 cancel event
+  }
+  tls_in_hook = false;
+  return rc;
+}
 
 template <typename Primitive>
 int BlockingAcquire(dimmunix::Runtime* runtime, Primitive* primitive, dimmunix::LockId id,
@@ -270,21 +286,7 @@ int BlockingAcquire(dimmunix::Runtime* runtime, Primitive* primitive, dimmunix::
   tls_in_hook = true;
   dimmunix::AcquireOp op = runtime->BeginAcquire(id, mode);
   tls_in_hook = false;
-  const int rc = real(primitive);
-  tls_in_hook = true;
-  // A pthread acquisition cannot be cancelled, so the real lock can succeed
-  // even after a kBroken grant rollback — Commit records the hold in every
-  // decision state, and Cancel is a no-op unless a kGo edge is standing.
-  if (Acquired(rc)) {
-    if (rc == EOWNERDEAD) {
-      ReleaseCorpseHold(runtime, id);
-    }
-    op.Commit();
-  } else {
-    op.Cancel();
-  }
-  tls_in_hook = false;
-  return rc;
+  return Settle(runtime, op, id, real(primitive));
 }
 
 template <typename Primitive>
@@ -297,18 +299,7 @@ int NonblockingAcquire(dimmunix::Runtime* runtime, Primitive* primitive, dimmuni
     return EBUSY;  // dangerous pattern: report contention instead
   }
   tls_in_hook = false;
-  const int rc = real(primitive);
-  tls_in_hook = true;
-  if (Acquired(rc)) {
-    if (rc == EOWNERDEAD) {
-      ReleaseCorpseHold(runtime, id);
-    }
-    op.Commit();
-  } else {
-    op.Cancel();  // §6 cancel event
-  }
-  tls_in_hook = false;
-  return rc;
+  return Settle(runtime, op, id, real(primitive));
 }
 
 // pthread timed locks take a CLOCK_REALTIME absolute time; the engine's
@@ -330,18 +321,7 @@ int TimedAcquire(dimmunix::Runtime* runtime, Primitive* primitive, dimmunix::Loc
   tls_in_hook = true;
   dimmunix::AcquireOp op = runtime->BeginAcquire(id, mode, MonoDeadlineFrom(abstime));
   tls_in_hook = false;
-  const int rc = real(primitive, abstime);
-  tls_in_hook = true;
-  if (Acquired(rc)) {
-    if (rc == EOWNERDEAD) {
-      ReleaseCorpseHold(runtime, id);
-    }
-    op.Commit();  // recorded even after a kBroken rollback (see above)
-  } else {
-    op.Cancel();  // timeout rollback (§6)
-  }
-  tls_in_hook = false;
-  return rc;
+  return Settle(runtime, op, id, real(primitive, abstime));
 }
 
 template <typename Primitive>
@@ -631,40 +611,17 @@ extern "C" int flock(int fd, int operation) {
     keep.Commit();  // legal in any decision state: we factually still hold it
     tls_in_hook = false;
   };
-  if ((operation & LOCK_NB) != 0) {
-    tls_in_hook = true;
-    dimmunix::AcquireOp op = runtime->TryBeginAcquire(id, mode);
-    if (!op.Granted()) {
-      tls_in_hook = false;
-      restore_hold();
-      errno = EWOULDBLOCK;  // dangerous pattern: report contention instead
-      return -1;
-    }
-    tls_in_hook = false;
-    const int rc = real_flock(fd, operation);
-    tls_in_hook = true;
-    if (rc == 0) {
-      op.Commit();
-    } else {
-      op.Cancel();
-    }
-    tls_in_hook = false;
-    if (rc != 0) {
-      restore_hold();
-    }
-    return rc;
-  }
+  const bool nonblocking = (operation & LOCK_NB) != 0;
   tls_in_hook = true;
-  dimmunix::AcquireOp op = runtime->BeginAcquire(id, mode);
+  dimmunix::AcquireOp op =
+      nonblocking ? runtime->TryBeginAcquire(id, mode) : runtime->BeginAcquire(id, mode);
   tls_in_hook = false;
-  const int rc = real_flock(fd, operation);
-  tls_in_hook = true;
-  if (rc == 0) {
-    op.Commit();
-  } else {
-    op.Cancel();
+  if (nonblocking && !op.Granted()) {
+    restore_hold();
+    errno = EWOULDBLOCK;  // dangerous pattern: report contention instead
+    return -1;
   }
-  tls_in_hook = false;
+  const int rc = Settle(runtime, op, id, real_flock(fd, operation));
   if (rc != 0) {
     restore_hold();
   }
@@ -729,14 +686,7 @@ int FcntlLock(dimmunix::Runtime* runtime, int fd, int cmd, struct flock* fl) {
     return -1;
   }
   tls_in_hook = false;
-  const int rc = real_fcntl(fd, cmd, fl);
-  tls_in_hook = true;
-  if (rc == 0) {
-    op.Commit();
-  } else {
-    op.Cancel();
-  }
-  tls_in_hook = false;
+  const int rc = Settle(runtime, op, id, real_fcntl(fd, cmd, fl));
   if (rc != 0) {
     restore_hold();
   }

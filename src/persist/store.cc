@@ -245,11 +245,7 @@ bool HistoryStore::Compact(MergePolicy policy, bool sync_only) {
       unchanged = !current.bad() && buf.str() == EncodeSnapshotV2(image);
     }
   }
-  // read_mostly (save_history_on_update=false): a pure synchronization pass
-  // never creates or rewrites the file — only a journal left behind by a
-  // previous (writing) incarnation justifies touching it.
-  const bool suppress_write = sync_only && options_.read_mostly && !journal_pending;
-  if (!unchanged && !suppress_write) {
+  if (!unchanged) {
     std::string error;
     if (!SaveHistoryFile(options_.path, image, &error, SaveOptions{/*take_lock=*/false})) {
       DIMMUNIX_LOG(kError) << "persist: compaction of " << options_.path << " failed: "

@@ -63,11 +63,6 @@ struct StoreOptions {
   // (Config::load_history_on_init) — the file is then left untouched until
   // an explicit reload/save.
   bool merge_on_start = true;
-  // True when Config::save_history_on_update is off: startup/resync
-  // compactions become read-only (no file creation, no v1->v2 rewrite)
-  // unless there is a journal to fold. Explicit SaveNow/threshold
-  // compactions still write — the operator asked.
-  bool read_mostly = false;
   // > 0: periodically load-merge the shared file even without local writes,
   // consuming signatures and operator actions from other processes live.
   std::chrono::milliseconds resync_period{0};
@@ -135,8 +130,8 @@ class HistoryStore {
   void Loop();
   void DrainQueue();  // writer thread (or post-join) only
   void AppendDelta(int index);
-  // `sync_only` marks startup/resync compactions, which honor read_mostly;
-  // explicit saves and journal-threshold compactions always write.
+  // `sync_only` marks startup/resync compactions, which count as resyncs;
+  // explicit saves and journal-threshold compactions do not.
   bool Compact(MergePolicy policy, bool sync_only = false);
   SignatureRecord RecordFor(const Signature& sig) const;
 

@@ -17,39 +17,38 @@ void AbortOnLockFailure(const char* op, LockResult result) {
   std::abort();
 }
 
+bool SettleAcquire(Runtime& runtime, AcquireOp& op, WaitOutcome outcome) {
+  if (outcome == WaitOutcome::kAcquired) {
+    op.Commit();
+    return true;
+  }
+  op.Cancel();
+  if (outcome == WaitOutcome::kCanceled) {
+    runtime.engine().stats().broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  }
+  return false;
+}
+
 LockResult Mutex::Lock() {
   if (raw_.OwnedByCurrentThread()) {
     return LockResult::kSelfDeadlock;  // PTHREAD_MUTEX_ERRORCHECK behavior
   }
-  AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
-    return LockResult::kBroken;
-  }
   // kGo (or kReentrant, unreachable given the owner check above): block on
   // the underlying mutex, cancellably.
-  if (raw_.LockCancellable(&op.slot())) {
-    op.Commit();
-    return LockResult::kOk;
+  AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive);
+  if (!op.Granted() || !SettleAcquire(*runtime_, op, raw_.Acquire(op.slot()))) {
+    return LockResult::kBroken;
   }
-  op.Cancel();
-  runtime_->engine().stats().broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  return LockResult::kBroken;
+  return LockResult::kOk;
 }
 
 bool Mutex::TryLock() {
   if (raw_.OwnedByCurrentThread()) {
     return false;
   }
+  // Not granted: entering the pattern would be dangerous, so report busy.
   AcquireOp op = runtime_->TryBeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
-    return false;  // entering the pattern would be dangerous: report busy
-  }
-  if (raw_.TryLock()) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();  // §6 cancel event
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, TryOutcome(raw_.TryLock()));
 }
 
 bool Mutex::LockFor(Duration timeout) { return LockUntil(Now() + timeout); }
@@ -58,17 +57,9 @@ bool Mutex::LockUntil(MonoTime deadline) {
   if (raw_.OwnedByCurrentThread()) {
     return false;
   }
+  // Not granted (kTimedOut or kBroken): the engine already rolled back.
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive, deadline);
-  if (!op.Granted()) {
-    return false;  // kTimedOut or kBroken: the engine already rolled back
-  }
-  bool canceled = false;
-  if (raw_.LockUntil(deadline, &op.slot(), &canceled)) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();  // timeout rollback (§6 cancel event)
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, raw_.Acquire(op.slot(), deadline));
 }
 
 void Mutex::Unlock() {
@@ -84,17 +75,11 @@ LockResult RecursiveMutex::Lock() {
     return LockResult::kOk;
   }
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
+  if (!op.Granted() || !SettleAcquire(*runtime_, op, raw_.Acquire(op.slot()))) {
     return LockResult::kBroken;
   }
-  if (raw_.LockCancellable(&op.slot())) {
-    depth_ = 1;
-    op.Commit();
-    return LockResult::kOk;
-  }
-  op.Cancel();
-  runtime_->engine().stats().broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  return LockResult::kBroken;
+  depth_ = 1;
+  return LockResult::kOk;
 }
 
 bool RecursiveMutex::TryLock() {
@@ -105,16 +90,11 @@ bool RecursiveMutex::TryLock() {
     return true;
   }
   AcquireOp op = runtime_->TryBeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
+  if (!op.Granted() || !SettleAcquire(*runtime_, op, TryOutcome(raw_.TryLock()))) {
     return false;
   }
-  if (raw_.TryLock()) {
-    depth_ = 1;
-    op.Commit();
-    return true;
-  }
-  op.Cancel();
-  return false;
+  depth_ = 1;
+  return true;
 }
 
 void RecursiveMutex::Unlock() {

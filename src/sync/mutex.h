@@ -39,6 +39,17 @@ enum class LockResult {
 // the lock. `op` names the method, e.g. "Mutex::lock".
 [[noreturn]] void AbortOnLockFailure(const char* op, LockResult result);
 
+// The post-block step of every sync adapter: Commit `op` when the raw wait
+// acquired the lock, otherwise Cancel it (§6 `cancel`), counting a wait
+// that deadlock recovery canceled as a broken acquisition. Returns true
+// when the lock was acquired.
+bool SettleAcquire(Runtime& runtime, AcquireOp& op, WaitOutcome outcome);
+
+// A trylock is a wait whose deadline has already passed: busy is kTimedOut.
+inline WaitOutcome TryOutcome(bool acquired) {
+  return acquired ? WaitOutcome::kAcquired : WaitOutcome::kTimedOut;
+}
+
 class Mutex {
  public:
   explicit Mutex(Runtime& runtime = Runtime::Global()) : runtime_(&runtime) {}

@@ -2,101 +2,31 @@
 
 #include "src/sync/raw_mutex.h"
 
+#include "src/sync/cancellable_wait.h"
+
 namespace dimmunix {
 
-void RawMutex::Lock() {
-  std::unique_lock<std::mutex> guard(m_);
-  cv_.wait(guard, [this] { return !locked_; });
-  locked_ = true;
-  owner_ = std::this_thread::get_id();
-}
-
-bool RawMutex::LockCancellable(ThreadSlot* slot) {
-  // Register a canceler so the monitor can wake this blocked thread.
-  {
-    std::lock_guard<std::mutex> c(slot->canceler_m);
-    slot->acquisition_canceler = [this] {
-      std::lock_guard<std::mutex> guard(m_);
-      cv_.notify_all();
-    };
-  }
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        break;
-      }
-      if (!locked_) {
-        locked_ = true;
-        owner_ = std::this_thread::get_id();
-        acquired = true;
-        break;
-      }
-      cv_.wait(guard);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> c(slot->canceler_m);
-    slot->acquisition_canceler = nullptr;
-  }
-  return acquired;
-}
-
-bool RawMutex::LockUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled) {
-  if (canceled != nullptr) {
-    *canceled = false;
-  }
-  if (slot != nullptr) {
-    std::lock_guard<std::mutex> c(slot->canceler_m);
-    slot->acquisition_canceler = [this] {
-      std::lock_guard<std::mutex> guard(m_);
-      cv_.notify_all();
-    };
-  }
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot != nullptr && slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        if (canceled != nullptr) {
-          *canceled = true;
-        }
-        break;
-      }
-      if (!locked_) {
-        locked_ = true;
-        owner_ = std::this_thread::get_id();
-        acquired = true;
-        break;
-      }
-      if (cv_.wait_until(guard, deadline) == std::cv_status::timeout) {
-        if (!locked_) {
-          locked_ = true;
-          owner_ = std::this_thread::get_id();
-          acquired = true;
-        }
-        break;
-      }
-    }
-  }
-  if (slot != nullptr) {
-    std::lock_guard<std::mutex> c(slot->canceler_m);
-    slot->acquisition_canceler = nullptr;
-  }
-  return acquired;
-}
-
-bool RawMutex::TryLock() {
-  std::lock_guard<std::mutex> guard(m_);
+bool RawMutex::TryGrantLocked() {
   if (locked_) {
     return false;
   }
   locked_ = true;
   owner_ = std::this_thread::get_id();
   return true;
+}
+
+void RawMutex::Lock() {
+  std::unique_lock<std::mutex> guard(m_);
+  cv_.wait(guard, [this] { return TryGrantLocked(); });
+}
+
+WaitOutcome RawMutex::Acquire(ThreadSlot& slot, std::optional<MonoTime> deadline) {
+  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantLocked(); });
+}
+
+bool RawMutex::TryLock() {
+  std::lock_guard<std::mutex> guard(m_);
+  return TryGrantLocked();
 }
 
 void RawMutex::Unlock() {

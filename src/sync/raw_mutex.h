@@ -16,12 +16,16 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "src/common/clock.h"
 #include "src/core/thread_registry.h"
 
 namespace dimmunix {
+
+// How a cancellable raw wait ended.
+enum class WaitOutcome { kAcquired, kCanceled, kTimedOut };
 
 class RawMutex {
  public:
@@ -32,14 +36,12 @@ class RawMutex {
   // Plain blocking acquisition (used by the baseline and by CondVar).
   void Lock();
 
-  // Blocking acquisition that can be canceled through `slot` (the engine's
-  // CancelAcquisition). Returns false if canceled before the lock was
-  // obtained.
-  bool LockCancellable(ThreadSlot* slot);
+  // Acquisition that the engine's CancelAcquisition can break through
+  // `slot`, bounded by `deadline` when one is given.
+  WaitOutcome Acquire(ThreadSlot& slot, std::optional<MonoTime> deadline = std::nullopt);
 
-  // Timed variant; returns false on timeout or cancellation (*canceled set
-  // accordingly when non-null).
-  bool LockUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled);
+  // Blocking Acquire; false if canceled before the lock was obtained.
+  bool LockCancellable(ThreadSlot* slot) { return Acquire(*slot) == WaitOutcome::kAcquired; }
 
   bool TryLock();
   void Unlock();
@@ -47,6 +49,8 @@ class RawMutex {
   bool OwnedByCurrentThread() const;
 
  private:
+  bool TryGrantLocked();
+
   mutable std::mutex m_;
   std::condition_variable cv_;
   bool locked_ = false;

@@ -4,101 +4,34 @@
 
 #include <algorithm>
 
+#include "src/sync/cancellable_wait.h"
+
 namespace dimmunix {
 
-void RawSharedMutex::GrantExclusiveLocked() {
+bool RawSharedMutex::TryGrantExclusiveLocked() {
+  if (writer_ || !readers_.empty()) {
+    return false;
+  }
   writer_ = true;
   writer_id_ = std::this_thread::get_id();
+  return true;
 }
 
-void RawSharedMutex::GrantSharedLocked() { readers_.push_back(std::this_thread::get_id()); }
-
-void RawSharedMutex::RegisterCanceler(ThreadSlot* slot) {
-  std::lock_guard<std::mutex> c(slot->canceler_m);
-  slot->acquisition_canceler = [this] {
-    std::lock_guard<std::mutex> guard(m_);
-    cv_.notify_all();
-  };
+bool RawSharedMutex::TryGrantSharedLocked() {
+  if (writer_) {
+    return false;
+  }
+  readers_.push_back(std::this_thread::get_id());
+  return true;
 }
 
-void RawSharedMutex::ClearCanceler(ThreadSlot* slot) {
-  std::lock_guard<std::mutex> c(slot->canceler_m);
-  slot->acquisition_canceler = nullptr;
-}
-
-void RawSharedMutex::LockExclusive() {
-  std::unique_lock<std::mutex> guard(m_);
-  cv_.wait(guard, [this] { return ExclusiveFreeLocked(); });
-  GrantExclusiveLocked();
-}
-
-bool RawSharedMutex::LockExclusiveCancellable(ThreadSlot* slot) {
-  RegisterCanceler(slot);
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        break;
-      }
-      if (ExclusiveFreeLocked()) {
-        GrantExclusiveLocked();
-        acquired = true;
-        break;
-      }
-      cv_.wait(guard);
-    }
-  }
-  ClearCanceler(slot);
-  return acquired;
-}
-
-bool RawSharedMutex::LockExclusiveUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled) {
-  if (canceled != nullptr) {
-    *canceled = false;
-  }
-  if (slot != nullptr) {
-    RegisterCanceler(slot);
-  }
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot != nullptr && slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        if (canceled != nullptr) {
-          *canceled = true;
-        }
-        break;
-      }
-      if (ExclusiveFreeLocked()) {
-        GrantExclusiveLocked();
-        acquired = true;
-        break;
-      }
-      if (cv_.wait_until(guard, deadline) == std::cv_status::timeout) {
-        if (ExclusiveFreeLocked()) {
-          GrantExclusiveLocked();
-          acquired = true;
-        }
-        break;
-      }
-    }
-  }
-  if (slot != nullptr) {
-    ClearCanceler(slot);
-  }
-  return acquired;
+WaitOutcome RawSharedMutex::AcquireExclusive(ThreadSlot& slot, std::optional<MonoTime> deadline) {
+  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantExclusiveLocked(); });
 }
 
 bool RawSharedMutex::TryLockExclusive() {
   std::lock_guard<std::mutex> guard(m_);
-  if (!ExclusiveFreeLocked()) {
-    return false;
-  }
-  GrantExclusiveLocked();
-  return true;
+  return TryGrantExclusiveLocked();
 }
 
 void RawSharedMutex::UnlockExclusive() {
@@ -110,79 +43,13 @@ void RawSharedMutex::UnlockExclusive() {
   cv_.notify_all();
 }
 
-void RawSharedMutex::LockShared() {
-  std::unique_lock<std::mutex> guard(m_);
-  cv_.wait(guard, [this] { return SharedFreeLocked(); });
-  GrantSharedLocked();
-}
-
-bool RawSharedMutex::LockSharedCancellable(ThreadSlot* slot) {
-  RegisterCanceler(slot);
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        break;
-      }
-      if (SharedFreeLocked()) {
-        GrantSharedLocked();
-        acquired = true;
-        break;
-      }
-      cv_.wait(guard);
-    }
-  }
-  ClearCanceler(slot);
-  return acquired;
-}
-
-bool RawSharedMutex::LockSharedUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled) {
-  if (canceled != nullptr) {
-    *canceled = false;
-  }
-  if (slot != nullptr) {
-    RegisterCanceler(slot);
-  }
-  bool acquired = false;
-  {
-    std::unique_lock<std::mutex> guard(m_);
-    for (;;) {
-      if (slot != nullptr && slot->acquisition_canceled.load(std::memory_order_acquire)) {
-        slot->acquisition_canceled.store(false, std::memory_order_release);
-        if (canceled != nullptr) {
-          *canceled = true;
-        }
-        break;
-      }
-      if (SharedFreeLocked()) {
-        GrantSharedLocked();
-        acquired = true;
-        break;
-      }
-      if (cv_.wait_until(guard, deadline) == std::cv_status::timeout) {
-        if (SharedFreeLocked()) {
-          GrantSharedLocked();
-          acquired = true;
-        }
-        break;
-      }
-    }
-  }
-  if (slot != nullptr) {
-    ClearCanceler(slot);
-  }
-  return acquired;
+WaitOutcome RawSharedMutex::AcquireShared(ThreadSlot& slot, std::optional<MonoTime> deadline) {
+  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantSharedLocked(); });
 }
 
 bool RawSharedMutex::TryLockShared() {
   std::lock_guard<std::mutex> guard(m_);
-  if (!SharedFreeLocked()) {
-    return false;
-  }
-  GrantSharedLocked();
-  return true;
+  return TryGrantSharedLocked();
 }
 
 void RawSharedMutex::UnlockShared() {

@@ -1,10 +1,10 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // The uninstrumented reader-writer lock under every dimmunix::SharedMutex —
-// the shared-mode counterpart of RawMutex, built from the same
-// condvar-protected state so acquisitions stay cancellable (deadlock
-// recovery can break a blocked writer or reader out) and timed variants
-// compose with the engine's yield logic.
+// the shared-mode counterpart of RawMutex, built on the same cancellable
+// wait loop (CancellableWait, src/sync/cancellable_wait.h) so acquisitions stay
+// cancellable (deadlock recovery can break a blocked writer or reader out)
+// and timed variants compose with the engine's yield logic.
 //
 // Semantics match pthread_rwlock without writer preference: a writer waits
 // until there is no writer and no readers; a reader waits only while a
@@ -18,11 +18,13 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/core/thread_registry.h"
+#include "src/sync/raw_mutex.h"
 
 namespace dimmunix {
 
@@ -33,16 +35,12 @@ class RawSharedMutex {
   RawSharedMutex& operator=(const RawSharedMutex&) = delete;
 
   // --- Writer side ----------------------------------------------------------
-  void LockExclusive();
-  bool LockExclusiveCancellable(ThreadSlot* slot);
-  bool LockExclusiveUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled);
+  WaitOutcome AcquireExclusive(ThreadSlot& slot, std::optional<MonoTime> deadline = std::nullopt);
   bool TryLockExclusive();
   void UnlockExclusive();
 
   // --- Reader side ----------------------------------------------------------
-  void LockShared();
-  bool LockSharedCancellable(ThreadSlot* slot);
-  bool LockSharedUntil(MonoTime deadline, ThreadSlot* slot, bool* canceled);
+  WaitOutcome AcquireShared(ThreadSlot& slot, std::optional<MonoTime> deadline = std::nullopt);
   bool TryLockShared();
   void UnlockShared();
 
@@ -51,12 +49,8 @@ class RawSharedMutex {
   bool SharedOwnedByCurrentThread() const;
 
  private:
-  bool ExclusiveFreeLocked() const { return !writer_ && readers_.empty(); }
-  bool SharedFreeLocked() const { return !writer_; }
-  void GrantExclusiveLocked();
-  void GrantSharedLocked();
-  void RegisterCanceler(ThreadSlot* slot);
-  void ClearCanceler(ThreadSlot* slot);
+  bool TryGrantExclusiveLocked();
+  bool TryGrantSharedLocked();
 
   mutable std::mutex m_;
   std::condition_variable cv_;

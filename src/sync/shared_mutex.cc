@@ -11,16 +11,10 @@ LockResult SharedMutex::Lock() {
     return LockResult::kSelfDeadlock;
   }
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
+  if (!op.Granted() || !SettleAcquire(*runtime_, op, raw_.AcquireExclusive(op.slot()))) {
     return LockResult::kBroken;
   }
-  if (raw_.LockExclusiveCancellable(&op.slot())) {
-    op.Commit();
-    return LockResult::kOk;
-  }
-  op.Cancel();
-  runtime_->engine().stats().broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  return LockResult::kBroken;
+  return LockResult::kOk;
 }
 
 bool SharedMutex::TryLock() {
@@ -28,15 +22,7 @@ bool SharedMutex::TryLock() {
     return false;
   }
   AcquireOp op = runtime_->TryBeginAcquire(id(), AcquireMode::kExclusive);
-  if (!op.Granted()) {
-    return false;
-  }
-  if (raw_.TryLockExclusive()) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, TryOutcome(raw_.TryLockExclusive()));
 }
 
 bool SharedMutex::LockFor(Duration timeout) { return LockUntil(Now() + timeout); }
@@ -46,16 +32,7 @@ bool SharedMutex::LockUntil(MonoTime deadline) {
     return false;
   }
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kExclusive, deadline);
-  if (!op.Granted()) {
-    return false;
-  }
-  bool canceled = false;
-  if (raw_.LockExclusiveUntil(deadline, &op.slot(), &canceled)) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, raw_.AcquireExclusive(op.slot(), deadline));
 }
 
 void SharedMutex::Unlock() {
@@ -68,16 +45,10 @@ LockResult SharedMutex::LockShared() {
     return LockResult::kSelfDeadlock;  // rdlock while writing: EDEADLK
   }
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kShared);
-  if (!op.Granted()) {
+  if (!op.Granted() || !SettleAcquire(*runtime_, op, raw_.AcquireShared(op.slot()))) {
     return LockResult::kBroken;
   }
-  if (raw_.LockSharedCancellable(&op.slot())) {
-    op.Commit();
-    return LockResult::kOk;
-  }
-  op.Cancel();
-  runtime_->engine().stats().broken_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  return LockResult::kBroken;
+  return LockResult::kOk;
 }
 
 bool SharedMutex::TryLockShared() {
@@ -85,15 +56,7 @@ bool SharedMutex::TryLockShared() {
     return false;
   }
   AcquireOp op = runtime_->TryBeginAcquire(id(), AcquireMode::kShared);
-  if (!op.Granted()) {
-    return false;
-  }
-  if (raw_.TryLockShared()) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, TryOutcome(raw_.TryLockShared()));
 }
 
 bool SharedMutex::LockSharedFor(Duration timeout) { return LockSharedUntil(Now() + timeout); }
@@ -103,16 +66,7 @@ bool SharedMutex::LockSharedUntil(MonoTime deadline) {
     return false;
   }
   AcquireOp op = runtime_->BeginAcquire(id(), AcquireMode::kShared, deadline);
-  if (!op.Granted()) {
-    return false;
-  }
-  bool canceled = false;
-  if (raw_.LockSharedUntil(deadline, &op.slot(), &canceled)) {
-    op.Commit();
-    return true;
-  }
-  op.Cancel();
-  return false;
+  return op.Granted() && SettleAcquire(*runtime_, op, raw_.AcquireShared(op.slot(), deadline));
 }
 
 void SharedMutex::UnlockShared() {

@@ -284,7 +284,6 @@ BenchReport RunPersist(const Options& opts) {
 
     Config config = InstrumentedConfig();
     config.history_path = BenchJsonPath("persist") + ".hist";
-    config.save_history_on_update = true;
     config.load_history_on_init = false;  // fresh file every run
     config.journal_threshold = 8;
     persist::RemoveHistoryFiles(config.history_path);
