@@ -6,7 +6,6 @@
 //
 //   $ ./history_tool show app.dimmunix
 //   $ ./history_tool validate app.dimmunix       # strict integrity check
-//   $ ./history_tool upgrade legacy.dimmunix     # v1 text -> v2 binary
 //   $ ./history_tool disable app.dimmunix 2
 //   $ ./history_tool enable app.dimmunix 2
 //   $ ./history_tool merge dst.dimmunix src.dimmunix   # vendor-shipped sigs
@@ -16,7 +15,7 @@
 //   0  success (warnings about salvaged records go to stderr)
 //   1  file missing or unreadable / write failure
 //   2  usage error
-//   3  corrupt or truncated file (validate/upgrade refuse it)
+//   3  corrupt or truncated file (validate refuses it)
 //   4  signature index out of range
 //
 // `diff` follows the diff(1) convention instead: 0 = identical signature
@@ -45,7 +44,6 @@ int Usage() {
   std::fprintf(stderr,
                "usage: history_tool show <file>\n"
                "       history_tool validate <file>\n"
-               "       history_tool upgrade <file>\n"
                "       history_tool disable <file> <index>\n"
                "       history_tool enable <file> <index>\n"
                "       history_tool merge <dst> <src>\n"
@@ -129,28 +127,8 @@ int main(int argc, char** argv) {
       case dimmunix::persist::LoadStatus::kOk:
         break;
     }
-    std::printf("%s: valid (format v%d, %zu signature(s), %zu from journal)\n", path,
-                result.format_version, result.records_loaded, result.journal_records);
-    return kOk;
-  }
-
-  if (std::strcmp(command, "upgrade") == 0) {
-    dimmunix::persist::LoadResult result;
-    const int rc = LoadInto(path, &history, &result);
-    if (rc != kOk) {
-      return rc;
-    }
-    if (result.records_dropped > 0) {
-      // Refuse to bless data loss: a clean v2 written from a damaged source
-      // would silently make the loss permanent.
-      std::fprintf(stderr, "%s: refusing to upgrade a damaged file (run validate)\n", path);
-      return kCorrupt;
-    }
-    const int save_rc = SaveFrom(history, path);
-    if (save_rc != kOk) {
-      return save_rc;
-    }
-    std::printf("%s: upgraded to format v2 (%zu signature(s))\n", path, history.size());
+    std::printf("%s: valid (format v%d, %zu signature(s))\n", path, result.format_version,
+                result.records_loaded);
     return kOk;
   }
 
@@ -189,7 +167,7 @@ int main(int argc, char** argv) {
       return rc;
     }
     if (result.records_dropped > 0) {
-      // Same rule as merge/upgrade: rewriting a damaged file would make the
+      // Same rule as merge: rewriting a damaged file would make the
       // salvage loss permanent.
       std::fprintf(stderr, "%s: refusing to rewrite a damaged file (run validate)\n", path);
       return kCorrupt;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lane: keep the documentation from silently rotting.
 
-Five checks, all cheap enough to run on every push:
+Six checks, all cheap enough to run on every push:
 
 1. Link check — every relative markdown link in docs/*.md and README.md
    must point at a file that exists in the repo (anchors are stripped;
@@ -24,6 +24,9 @@ Five checks, all cheap enough to run on every push:
    regenerates and gates it.
 5. Bench-name guard — every `--bench <name>` that README.md, docs/*.md
    or a workflow names must be a bench in benchjson's usage line.
+6. Verb guard — every `history_tool <verb>` that README.md, docs/*.md or
+   a workflow names must be a verb in history_tool's usage text. CMake
+   `--target` lists (which name history_tool as a target) are skipped.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -49,6 +52,11 @@ SCRIPT_VAR_RE = re.compile(r"\$\{(DIMMUNIX_[A-Z0-9_]+)")
 # benchjson's usage line lists every bench it runs: "--bench a|b|...|all".
 USAGE_RE = re.compile(r"usage: benchjson --bench ([a-z0-9|]+)")
 BENCH_ARG_RE = re.compile(r"--bench\s+([a-z][a-z0-9_]*)")
+
+# history_tool's usage text: "usage: history_tool show <file>" and one
+# indented "history_tool <verb> ..." line per further verb.
+TOOL_USAGE_RE = re.compile(r"\"(?:usage: |\s+)history_tool ([a-z][a-z0-9-]*)")
+TOOL_VERB_RE = re.compile(r"\bhistory_tool[ \t]+([a-z][a-z0-9-]*)")
 
 
 def strip_fenced_code(text: str) -> str:
@@ -178,6 +186,42 @@ def check_bench_names() -> list[str]:
     return errors
 
 
+def history_tool_verbs() -> set[str]:
+    text = (ROOT / "examples" / "history_tool.cpp").read_text(encoding="utf-8")
+    return set(TOOL_USAGE_RE.findall(text))
+
+
+def without_target_lists(text: str) -> str:
+    """Drops each logical line (backslash continuations joined) that passes
+    CMake a --target list: those name history_tool as a build target."""
+    logical, out = [], []
+    for line in text.splitlines():
+        logical.append(line)
+        if line.rstrip().endswith("\\"):
+            continue
+        joined = "\n".join(logical)
+        logical = []
+        if "--target" not in joined:
+            out.append(joined)
+    out.extend(logical)
+    return "\n".join(out)
+
+
+def check_tool_verbs() -> list[str]:
+    known = history_tool_verbs()
+    if not known:
+        return ["examples/history_tool.cpp: no \"usage: history_tool ...\" text"]
+    sources = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+               *sorted((ROOT / ".github" / "workflows").glob("*.yml"))]
+    errors = []
+    for path in sources:
+        text = without_target_lists(path.read_text(encoding="utf-8"))
+        for verb in sorted(set(TOOL_VERB_RE.findall(text)) - known):
+            errors.append(f"{path.relative_to(ROOT)}: `history_tool {verb}` is not a "
+                          "history_tool verb (see its usage text)")
+    return errors
+
+
 def main() -> int:
     errors = []
     for md in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
@@ -186,11 +230,13 @@ def main() -> int:
     errors.extend(check_knobs())
     errors.extend(check_bench_reports())
     errors.extend(check_bench_names())
+    errors.extend(check_tool_verbs())
     for err in errors:
         print(f"docs-check: {err}", file=sys.stderr)
     if not errors:
         print("docs-check: all links resolve, all subsystems and knobs documented, "
-              "every BENCH report and --bench name is backed by benchjson")
+              "every BENCH report and --bench name is backed by benchjson, "
+              "every history_tool verb exists")
     return min(len(errors), 99)
 
 

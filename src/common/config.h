@@ -68,14 +68,6 @@ struct Config {
   // --- History -------------------------------------------------------------
   std::string history_path;       // empty = in-memory only
   bool load_history_on_init = true;
-  // Journal records appended (by this process) before the HistoryStore
-  // compacts them into a fresh v2 snapshot. <= 0 compacts on every delta.
-  int journal_threshold = 64;
-  // fsync(2) every journal append. Off by default: the append is already a
-  // single write(2), so a process crash can tear at most the final record;
-  // fsync additionally covers kernel/power loss at a latency cost (still
-  // off the application's hot path — only the store thread pays it).
-  bool journal_fsync = false;
   // > 0: the store periodically load-merges the shared history file even
   // without local changes, consuming signatures and operator actions from
   // other processes sharing DIMMUNIX_HISTORY. 0 disables resync.
@@ -143,7 +135,6 @@ struct Config {
   //   DIMMUNIX_STRIPES (0 = auto),
   //   DIMMUNIX_CONTROL (control-socket path, e.g. /tmp/app.dimmunix.sock),
   //   DIMMUNIX_FLEET (host:port of the attached dimmunixd daemon),
-  //   DIMMUNIX_JOURNAL_THRESHOLD, DIMMUNIX_JOURNAL_FSYNC (0|1),
   //   DIMMUNIX_RESYNC_MS (0 = off),
   //   DIMMUNIX_IPC (arena path), DIMMUNIX_IPC_BRIDGE_MS,
   //   DIMMUNIX_TRACE (0|1),

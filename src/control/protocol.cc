@@ -155,8 +155,6 @@ std::string DoStatus(Runtime& rt) {
     // view of the shared file?
     const persist::StoreStatsSnapshot s = store->stats();
     out << "store.queued=" << s.queued << "\n";
-    out << "store.journal_since_compact=" << s.journal_since_compact << "\n";
-    out << "store.appends=" << s.appends << "\n";
     out << "store.compactions=" << s.compactions << "\n";
     out << "store.foreign_merged=" << s.foreign_merged << "\n";
     out << "store.io_errors=" << s.io_errors << "\n";
@@ -318,8 +316,6 @@ std::string DoConfig(Runtime& rt) {
   out << "ignore_yield_decisions=" << (c.ignore_yield_decisions ? 1 : 0) << "\n";
   out << "engine_stripes=" << rt.engine().stripe_count() << "\n";
   out << "history_path=" << c.history_path << "\n";
-  out << "journal_threshold=" << c.journal_threshold << "\n";
-  out << "journal_fsync=" << (c.journal_fsync ? 1 : 0) << "\n";
   out << "history_resync_ms=" << c.history_resync_period.count() << "\n";
   out << "ipc_path=" << c.ipc_path << "\n";
   out << "ipc_bridge_period_ms=" << c.ipc_bridge_period.count() << "\n";
@@ -494,15 +490,14 @@ std::string DoMetrics(Runtime& rt) {
                          "Incident bundle write failures.", inc.errors);
   if (persist::HistoryStore* store = rt.history_store(); store != nullptr) {
     const persist::StoreStatsSnapshot s = store->stats();
-    obs::AppendPromCounter(&out, "dimmunix_store_appends_total",
-                           "Journal records appended.", s.appends);
     obs::AppendPromCounter(&out, "dimmunix_store_compactions_total",
                            "History snapshot compactions.", s.compactions);
     obs::AppendPromCounter(&out, "dimmunix_store_foreign_merged_total",
                            "Signatures learned from the shared history file.",
                            s.foreign_merged);
     obs::AppendPromCounter(&out, "dimmunix_store_io_errors_total",
-                           "History persistence I/O errors.", s.io_errors);
+                           "History writes that failed or were refused (file not decodable).",
+                           s.io_errors);
   }
   if (ipc::IpcBridge* bridge = rt.ipc_bridge(); bridge != nullptr) {
     const ipc::IpcStatus s = bridge->SnapshotStatus();

@@ -66,8 +66,8 @@
 // process and against a daemon alike.
 //
 // `status` additionally reports HistoryStore health when a history file is
-// configured: queued deltas, journal records since the last compaction, and
-// the age of the last shared-file resync.
+// configured: changes not yet written, compactions, I/O errors, and the age
+// of the last shared-file resync.
 //
 // This layer is deliberately socket-free: parsing, execution against a
 // Runtime, and formatting are pure functions, unit-tested without any I/O.

@@ -192,18 +192,18 @@ int Monitor::ArchiveSignature(SignatureKind kind, const std::vector<StackId>& st
         s.match_depth = s.calibration.current_depth();
       });
     }
-    PersistHistory(index);
+    PersistHistory();
     engine_->NotifyHistoryChanged();
   }
   return index;
 }
 
-void Monitor::PersistHistory(int signature_index) {
+void Monitor::PersistHistory() {
   // The runtime creates the store exactly when a history path is set. O(1)
-  // enqueue: the store's writer thread journals the delta, so file I/O
-  // never delays the detection loop (or, worse, event draining).
+  // notify: the store's writer thread writes the history, so file I/O never
+  // delays the detection loop (or, worse, event draining).
   if (store_ != nullptr) {
-    store_->NotifySignatureChanged(signature_index);
+    store_->NotifySignatureChanged();
   }
 }
 
@@ -290,7 +290,7 @@ void Monitor::HandleCalibration() {
     if (obsolete) {
       stats_.signatures_discarded.fetch_add(1, std::memory_order_relaxed);
       engine_->NotifyHistoryChanged();
-      PersistHistory(verdict.signature_index);
+      PersistHistory();
       DIMMUNIX_LOG(kInfo) << "signature " << verdict.signature_index
                           << " discarded as obsolete (100% FP after recalibration)";
     }

@@ -86,7 +86,7 @@ class Monitor {
   void HandleStarvations();
   void HandleCalibration();
   int ArchiveSignature(SignatureKind kind, const std::vector<StackId>& stacks, bool* added);
-  void PersistHistory(int signature_index);
+  void PersistHistory();
   // Snapshot one incident bundle (no-op without a log). `threads` leads
   // with the responsible thread when the caller knows it.
   void CaptureIncident(const char* kind, int signature_index,

@@ -48,18 +48,16 @@ Runtime::Runtime(Config config) : config_(std::move(config)) {
   queue_ = std::make_unique<EventQueue>();
   // "The deadlock history is loaded from disk into memory at startup time"
   // (§5.4) — performed by the store's startup compaction below (one parse,
-  // under the file lock, folding any crashed predecessor's journal in).
+  // under the file lock).
   engine_ = std::make_unique<AvoidanceEngine>(config_, stacks_.get(), history_.get(),
                                               queue_.get(), recorder_.get());
   if (!config_.history_path.empty()) {
     persist::StoreOptions store_options;
     store_options.path = config_.history_path;
-    store_options.journal_threshold = config_.journal_threshold;
-    store_options.fsync_appends = config_.journal_fsync;
     store_options.resync_period = config_.history_resync_period;
     store_options.merge_on_start = config_.load_history_on_init;
     store_ = std::make_unique<persist::HistoryStore>(store_options, history_.get(),
-                                                     stacks_.get(), recorder_.get());
+                                                     recorder_.get());
     // Signatures merged from the shared file must take effect immediately:
     // the engine rebuilds its caches off the history version counter.
     store_->SetOnHistoryMerged([this] { engine_->NotifyHistoryChanged(); });
@@ -217,7 +215,6 @@ std::string Runtime::RuntimeIncidentJson() {
   if (store_) {
     const persist::StoreStatsSnapshot ss = store_->stats();
     out += "{\"queued\":" + std::to_string(ss.queued) +
-           ",\"appends\":" + std::to_string(ss.appends) +
            ",\"compactions\":" + std::to_string(ss.compactions) +
            ",\"io_errors\":" + std::to_string(ss.io_errors) +
            ",\"resyncs\":" + std::to_string(ss.resyncs) + "}";

@@ -90,9 +90,9 @@ class Runtime {
 
   // --- Durable history operations (control plane: `dimctl history ...`) -----
 
-  // Synchronously compacts the history to disk: journal folded into the v2
-  // snapshot, other processes' signatures merged in, union written
-  // atomically under the file lock. False without a history path.
+  // Synchronously compacts the history to disk: other processes' signatures
+  // merged in, union written atomically as a v2 snapshot under the file
+  // lock. False without a history path.
   bool SaveHistoryNow();
 
   // Writes the current in-memory history to `path` (v2) — how an operator

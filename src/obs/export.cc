@@ -43,9 +43,6 @@ std::string EventArgs(const TraceEvent& e) {
     case TraceEventType::kBridgeFold:
       std::snprintf(buf, sizeof(buf), "{\"edges_folded\":%" PRIu64 "}", e.data);
       break;
-    case TraceEventType::kStoreFlush:
-      std::snprintf(buf, sizeof(buf), "{\"signature\":%u}", e.aux);
-      break;
     case TraceEventType::kStoreCompact:
       std::snprintf(buf, sizeof(buf), "{\"foreign_merged\":%" PRIu64 "}", e.data);
       break;

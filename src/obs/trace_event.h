@@ -40,7 +40,8 @@ enum class TraceEventType : std::uint8_t {
   kCoverSearch = 5,    // matcher cover search; aux = signature or kNoMatchAux
   kMonitorPass = 6,    // one monitor RunOnce; data = events drained
   kBridgeFold = 7,     // one IPC bridge tick; data = edges folded/retired
-  kStoreFlush = 8,     // one journal append; aux = signature index
+  // 8 is retired: it named a removed store event, and values keep their
+  // numbers so older traces still decode.
   kStoreCompact = 9,   // one history compaction; data = foreign sigs merged
   kFleetSync = 10,     // one dimmunixd gossip round; aux = peer index,
                        // data = records_in << 32 | records_out
@@ -69,8 +70,6 @@ inline const char* TraceEventTypeName(std::uint8_t type) {
       return "monitor_pass";
     case TraceEventType::kBridgeFold:
       return "bridge_fold";
-    case TraceEventType::kStoreFlush:
-      return "store_flush";
     case TraceEventType::kStoreCompact:
       return "store_compact";
     case TraceEventType::kFleetSync:

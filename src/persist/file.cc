@@ -3,7 +3,6 @@
 #include "src/persist/file.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/common/logging.h"
 
 namespace dimmunix {
 namespace persist {
@@ -61,72 +59,31 @@ bool SetError(std::string* error, std::string message) {
   return false;
 }
 
-}  // namespace
-
-std::string JournalPathFor(const std::string& history_path) { return history_path + ".journal"; }
-
-std::string LockPathFor(const std::string& history_path) { return history_path + ".lock"; }
-
-LoadResult LoadHistoryFile(const std::string& path, HistoryImage* image,
-                           const LoadOptions& options) {
+// Reads and decodes <path>; `bytes` receives the file as read. The caller
+// holds the FileLock.
+LoadResult ReadSnapshot(const std::string& path, std::string* bytes, HistoryImage* image) {
   LoadResult result;
-  FileLock lock(LockPathFor(path));
-  if (options.take_lock) {
-    lock.Acquire();  // degraded (lockless) on failure; load still proceeds
-  }
-
-  std::string bytes;
   bool missing = false;
-  const bool snapshot_read = ReadWholeFile(path, &bytes, &missing);
-  if (!snapshot_read && !missing) {
-    result.status = LoadStatus::kIoError;
-    result.message = "cannot read " + path;
+  if (!ReadWholeFile(path, bytes, &missing)) {
+    result.status = missing ? LoadStatus::kNotFound : LoadStatus::kIoError;
+    if (!missing) {
+      result.message = "cannot read " + path;
+    }
     return result;
   }
-  const std::uint32_t snapshot_crc = snapshot_read ? Crc32(bytes.data(), bytes.size()) : 0;
-
-  if (snapshot_read) {
-    if (bytes.substr(0, 4) == kSnapshotMagic) {
-      DecodeSnapshotV2(bytes, image, &result);
-    } else if (LooksLikeTextV1(bytes)) {
-      ParseTextV1(bytes, image, &result);
-    } else {
-      result.status = LoadStatus::kCorrupt;
-      result.message = "unrecognized history format";
-    }
-  } else {
-    result.status = LoadStatus::kNotFound;
+  if (bytes->empty()) {
+    // A 0-byte file (touched by an operator or a provisioning script) is an
+    // empty history; the next write gives it a header.
+    result.format_version = static_cast<int>(kFormatVersion);
+    return result;
   }
-
-  if (options.with_journal && result.status != LoadStatus::kIoError) {
-    std::string jbytes;
-    bool jmissing = false;
-    if (ReadWholeFile(JournalPathFor(path), &jbytes, &jmissing)) {
-      // A journal can outlive a corrupt/missing snapshot (e.g. the process
-      // died before its first compaction); its records are still good. A
-      // corrupt snapshot still counts as loss so validate rejects the file.
-      if (result.status == LoadStatus::kCorrupt) {
-        ++result.records_dropped;
-      }
-      if (result.status == LoadStatus::kCorrupt || result.status == LoadStatus::kNotFound) {
-        result.status = LoadStatus::kOk;
-        if (result.format_version == 0) {
-          result.format_version = 2;
-        }
-      }
-      ReplayJournal(jbytes, image, &result, snapshot_crc);
-    }
-  }
+  DecodeSnapshotV2(*bytes, image, &result);
   return result;
 }
 
-bool SaveHistoryFile(const std::string& path, const HistoryImage& image, std::string* error,
-                     const SaveOptions& options) {
-  FileLock lock(LockPathFor(path));
-  if (options.take_lock) {
-    lock.Acquire();
-  }
-  const std::string encoded = EncodeSnapshotV2(image);
+// Writes `encoded` to a unique tmp file, fsyncs it and renames it over
+// <path>. The caller holds the FileLock.
+bool WriteSnapshot(const std::string& path, const std::string& encoded, std::string* error) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(g_tmp_seq.fetch_add(1, std::memory_order_relaxed));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -147,74 +104,74 @@ bool SaveHistoryFile(const std::string& path, const HistoryImage& image, std::st
     ::unlink(tmp.c_str());
     return SetError(error, "rename to " + path + " failed: " + reason);
   }
-  // The snapshot now supersedes every journal record. Crash between rename
-  // and unlink is benign: replaying a stale journal re-applies records that
-  // are duplicates (or older counters, which max() ignores).
-  ::unlink(JournalPathFor(path).c_str());
   return true;
 }
 
-bool AppendJournalRecord(const std::string& history_path, const SignatureRecord& record,
-                         bool fsync_after, FileLock* held_lock) {
-  FileLock own_lock(LockPathFor(history_path));
-  if (held_lock == nullptr) {
-    own_lock.Acquire();
+}  // namespace
+
+std::string LockPathFor(const std::string& history_path) { return history_path + ".lock"; }
+
+LoadResult LoadHistoryFile(const std::string& path, HistoryImage* image) {
+  FileLock lock(LockPathFor(path));
+  lock.Acquire();  // degraded (lockless) on failure; load still proceeds
+  std::string bytes;
+  return ReadSnapshot(path, &bytes, image);
+}
+
+bool SaveHistoryFile(const std::string& path, const HistoryImage& image, std::string* error) {
+  FileLock lock(LockPathFor(path));
+  lock.Acquire();
+  return WriteSnapshot(path, EncodeSnapshotV2(image), error);
+}
+
+bool UpdateHistoryFile(const std::string& path,
+                       const std::function<void(HistoryImage* on_disk)>& update, bool* wrote,
+                       std::string* error) {
+  if (wrote != nullptr) {
+    *wrote = false;
   }
-  const std::string journal = JournalPathFor(history_path);
-  const int fd = ::open(journal.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    DIMMUNIX_LOG(kError) << "persist: cannot open journal " << journal << ": "
-                         << std::strerror(errno);
+  FileLock lock(LockPathFor(path));
+  lock.Acquire();
+  std::string bytes;
+  HistoryImage image;
+  const LoadResult load = ReadSnapshot(path, &bytes, &image);
+  if (!load.ok()) {
+    // It may hold another process's signatures, or not be a history at
+    // all: replacing it would destroy what we cannot read.
+    return SetError(error, "not replacing " + path + ": " +
+                               (load.message.empty() ? "unreadable" : load.message));
+  }
+  update(&image);
+  const std::string encoded = EncodeSnapshotV2(image);
+  // A pass that changes nothing (a startup or resync over a current file)
+  // stays a pure read: no churn on shared or vendor-managed files.
+  if (encoded == bytes) {
+    return true;
+  }
+  if (!WriteSnapshot(path, encoded, error)) {
     return false;
   }
-  struct stat st {};
-  std::string data;
-  if (::fstat(fd, &st) == 0 && st.st_size == 0) {
-    // A new journal binds itself to the snapshot it extends (its CRC; 0 if
-    // none), so loads can tell a live journal from one orphaned by the
-    // rename-then-unlink crash window. Header + first record go out in one
-    // write: a crash never leaves a journal whose header is torn.
-    std::string snapshot_bytes;
-    bool snapshot_missing = false;
-    std::uint32_t snapshot_crc = 0;
-    if (ReadWholeFile(history_path, &snapshot_bytes, &snapshot_missing)) {
-      snapshot_crc = Crc32(snapshot_bytes.data(), snapshot_bytes.size());
-    }
-    data = EncodeJournalHeader(snapshot_crc);
+  if (wrote != nullptr) {
+    *wrote = true;
   }
-  data += EncodeJournalRecord(record);
-  const bool ok = WriteAllFd(fd, data);
-  if (ok && fsync_after) {
-    ::fsync(fd);
-  }
-  ::close(fd);
-  if (!ok) {
-    DIMMUNIX_LOG(kError) << "persist: journal append to " << journal << " failed: "
-                         << std::strerror(errno);
-  }
-  return ok;
+  return true;
 }
 
 bool MergeIntoFile(const std::string& path, const HistoryImage& image, MergeStats* stats,
                    std::string* error) {
-  FileLock lock(LockPathFor(path));
-  lock.Acquire();
-  HistoryImage on_disk;
-  const LoadResult load =
-      LoadHistoryFile(path, &on_disk, LoadOptions{/*with_journal=*/true, /*take_lock=*/false});
-  if (!load.ok()) {
-    return SetError(error, load.message.empty() ? ("cannot load " + path) : load.message);
-  }
-  const MergeStats merged = MergeInto(&on_disk, image, MergePolicy::kPreferIncoming);
-  if (stats != nullptr) {
-    *stats = merged;
-  }
-  return SaveHistoryFile(path, on_disk, error, SaveOptions{/*take_lock=*/false});
+  return UpdateHistoryFile(
+      path,
+      [&](HistoryImage* on_disk) {
+        const MergeStats merged = MergeInto(on_disk, image, MergePolicy::kPreferIncoming);
+        if (stats != nullptr) {
+          *stats = merged;
+        }
+      },
+      nullptr, error);
 }
 
 void RemoveHistoryFiles(const std::string& path) {
   ::unlink(path.c_str());
-  ::unlink(JournalPathFor(path).c_str());
   ::unlink(LockPathFor(path).c_str());
 }
 

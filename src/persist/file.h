@@ -1,28 +1,24 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// History file I/O: the durable triple <history>, <history>.journal,
-// <history>.lock and the operations over it. Writers follow one protocol:
+// History file I/O: the snapshot <history>, its lock file <history>.lock,
+// and the operations over them. Every write follows one protocol:
 //
 //   acquire <history>.lock (fcntl, exclusive, blocking)
-//     appends:    single write(2) of one journal record to <history>.journal
-//     snapshots:  write <history>.tmp.<pid>.<seq>, fsync, rename(2) over
-//                 <history>, unlink the journal (its records are now folded
-//                 into the snapshot)
+//   load <history>; refuse to go on if it is unreadable or corrupt
+//   merge; write <history>.tmp.<pid>.<seq>, fsync, rename(2) over <history>
 //   release the lock
 //
-// Readers need no lock for the snapshot (rename is atomic — they see the
-// old file or the new one, never a mix) but take it by default so a load
-// cannot interleave with another process's compaction between snapshot
-// rename and journal truncation. Load order is snapshot first, then journal
-// replay (journal records are newer and win).
+// Readers need no lock (rename is atomic — they see the old file or the new
+// one, never a mix) but take it anyway, so a load waits out a writer.
 //
 // Every function here is crash-safe against SIGKILL at any instruction: the
-// worst outcomes are a stale-but-complete snapshot, a torn final journal
-// record (dropped on replay), or a leftover .tmp file (ignored by loads).
+// worst outcomes are the previous snapshot or a leftover .tmp file (ignored
+// by loads).
 
 #ifndef DIMMUNIX_PERSIST_FILE_H_
 #define DIMMUNIX_PERSIST_FILE_H_
 
+#include <functional>
 #include <string>
 
 #include "src/persist/format.h"
@@ -32,40 +28,32 @@
 namespace dimmunix {
 namespace persist {
 
-std::string JournalPathFor(const std::string& history_path);
 std::string LockPathFor(const std::string& history_path);
 
-struct LoadOptions {
-  bool with_journal = true;  // replay <path>.journal after the snapshot
-  bool take_lock = true;     // false when the caller already holds the FileLock
-};
+// Loads the v2 snapshot at <path>, appending to `image`. A missing file is
+// kNotFound and a 0-byte file kOk, both with an untouched image — an empty
+// immune system, not an error.
+LoadResult LoadHistoryFile(const std::string& path, HistoryImage* image);
 
-// Loads <path> (v2 binary or legacy v1 text, auto-detected) and, by default,
-// replays its journal sidecar. Appends to `image`. A missing file is
-// kNotFound with an untouched image — an empty immune system, not an error.
-LoadResult LoadHistoryFile(const std::string& path, HistoryImage* image,
-                           const LoadOptions& options = {});
-
-struct SaveOptions {
-  bool take_lock = true;  // false when the caller already holds the FileLock
-};
-
-// Atomically replaces <path> with the v2 encoding of `image` and removes the
-// journal sidecar (the snapshot now contains everything). False on I/O
-// failure with `error` (if non-null) set.
+// Atomically replaces <path> with the v2 encoding of `image`, whatever the
+// file held. False on I/O failure with `error` (if non-null) set.
 bool SaveHistoryFile(const std::string& path, const HistoryImage& image,
-                     std::string* error = nullptr, const SaveOptions& options = {});
+                     std::string* error = nullptr);
 
-// Appends one self-contained record to <journal_path>, creating the journal
-// (with its header) if needed. One write(2) call: a crash can only tear the
-// final record. `held_lock` non-null means the caller holds the FileLock.
-bool AppendJournalRecord(const std::string& history_path, const SignatureRecord& record,
-                         bool fsync_after, FileLock* held_lock = nullptr);
+// The one write path over a shared file: under the file lock, load <path>,
+// let `update` turn the on-disk image into the one to keep, and atomically
+// write it — unless the bytes would not change (`wrote` false). A file
+// whose load is not ok() (unreadable, or corrupt: another writer's format,
+// a file that is not a history) is never replaced; that returns false with
+// `error` set, as does a failed write.
+bool UpdateHistoryFile(const std::string& path,
+                       const std::function<void(HistoryImage* on_disk)>& update,
+                       bool* wrote = nullptr, std::string* error = nullptr);
 
-// The multi-process merge primitive: under the file lock, load -> merge
-// `image` in (kPreferIncoming) -> save. Concurrent callers across processes
-// serialize on the lock, so nobody's signatures are lost. Returns the merge
-// stats via `stats` (if non-null); false on I/O failure.
+// The multi-process merge primitive: UpdateHistoryFile merging `image` in
+// (kPreferIncoming). Concurrent callers across processes serialize on the
+// lock, so nobody's signatures are lost. Returns the merge stats via `stats`
+// (if non-null).
 bool MergeIntoFile(const std::string& path, const HistoryImage& image,
                    MergeStats* stats = nullptr, std::string* error = nullptr);
 
@@ -73,9 +61,7 @@ bool MergeIntoFile(const std::string& path, const HistoryImage& image,
 // torn tail, or unusable section makes the result kCorrupt.
 LoadResult ValidateHistoryFile(const std::string& path);
 
-// Removes the whole durable triple: <path>, <path>.journal, <path>.lock.
-// Deleting only the snapshot is not enough — a surviving journal would
-// resurrect its signatures on the next load.
+// Removes <path> and <path>.lock.
 void RemoveHistoryFiles(const std::string& path);
 
 }  // namespace persist

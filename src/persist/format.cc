@@ -3,9 +3,7 @@
 #include "src/persist/format.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
-#include <sstream>
 
 namespace dimmunix {
 namespace persist {
@@ -104,8 +102,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// Record payload field block shared by the snapshot and journal encodings
-// (everything except the stacks, which differ: indexed vs. inline).
+// Record payload field block: everything except the stack references.
 void PutRecordFields(std::string* out, const SignatureRecord& rec) {
   out->push_back(static_cast<char>(rec.kind));
   out->push_back(static_cast<char>(rec.disabled ? 1 : 0));
@@ -288,7 +285,7 @@ bool DecodeSnapshotV2(std::string_view bytes, HistoryImage* image, LoadResult* r
     if (!in.GetU32(&len) || !in.GetU32(&crc) || len > kMaxRecordBytes ||
         in.remaining() < len) {
       NoteDropped(result, sig_count - r, "truncated record section");
-      break;
+      return true;
     }
     const std::string_view payload = in.Slice(in.pos(), len);
     in.Skip(len);
@@ -317,201 +314,22 @@ bool DecodeSnapshotV2(std::string_view bytes, HistoryImage* image, LoadResult* r
       NoteDropped(result, 1, "record references missing stack");
       continue;
     }
+    // The encoder never pads a payload: trailing bytes mean a forged ref
+    // count under a matching CRC, and the record is not one it wrote.
+    if (rp.remaining() != 0) {
+      NoteDropped(result, 1, "trailing bytes in record");
+      continue;
+    }
     rec.Canonicalize();
     image->records.push_back(std::move(rec));
     ++result->records_loaded;
   }
+  // Bytes past the last record: the header under-counts its records (a
+  // forged count with a recomputed header CRC). What they held is lost.
+  if (in.remaining() != 0) {
+    NoteDropped(result, 1, "bytes after the record section");
+  }
   return true;
-}
-
-// --- Journal ---------------------------------------------------------------
-//
-//   header: magic "DIMJ", u32 version, u32 snapshot_crc (CRC-32 of the
-//           snapshot file this journal extends; 0 = none), u32 crc of
-//           bytes [0,12)
-//   records: u32 payload_len, u32 payload_crc, payload:
-//     fields (see PutRecordFields), u32 stack_count,
-//     per stack: u32 frame_count, frame_count * u64 frames
-
-std::string EncodeJournalHeader(std::uint32_t snapshot_crc) {
-  std::string out;
-  out.append(kJournalMagic);
-  PutU32(&out, kFormatVersion);
-  PutU32(&out, snapshot_crc);
-  PutU32(&out, Crc32(out.data(), out.size()));
-  return out;
-}
-
-std::string EncodeJournalRecord(const SignatureRecord& record) {
-  SignatureRecord rec = record;
-  rec.Canonicalize();
-  std::string payload;
-  PutRecordFields(&payload, rec);
-  PutU32(&payload, static_cast<std::uint32_t>(rec.stacks.size()));
-  for (const std::vector<Frame>& stack : rec.stacks) {
-    PutU32(&payload, static_cast<std::uint32_t>(stack.size()));
-    for (Frame frame : stack) {
-      PutU64(&payload, frame);
-    }
-  }
-  std::string out;
-  PutU32(&out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
-}
-
-void ReplayJournal(std::string_view bytes, HistoryImage* image, LoadResult* result,
-                   std::uint32_t current_snapshot_crc) {
-  Reader in(bytes);
-  if (bytes.size() < 16 || bytes.substr(0, 4) != kJournalMagic) {
-    NoteDropped(result, 1, "journal: bad magic");
-    return;
-  }
-  in.Skip(4);
-  std::uint32_t version = 0;
-  std::uint32_t snapshot_crc = 0;
-  std::uint32_t header_crc = 0;
-  in.GetU32(&version);
-  in.GetU32(&snapshot_crc);
-  in.GetU32(&header_crc);
-  if (Crc32(bytes.data(), 12) != header_crc || version != kFormatVersion) {
-    NoteDropped(result, 1, "journal: bad header");
-    return;
-  }
-  // Mismatched binding: the snapshot was rewritten after this journal was
-  // created (the rename-then-unlink crash window). The journal's records
-  // are then *older* than the snapshot — keep presence and counters, but
-  // never let them roll back the snapshot's operator knobs.
-  const MergePolicy policy = snapshot_crc == current_snapshot_crc
-                                 ? MergePolicy::kPreferIncoming
-                                 : MergePolicy::kPreferExisting;
-  if (policy == MergePolicy::kPreferExisting) {
-    NoteDropped(result, 0, "journal predates snapshot: knob updates ignored");
-  }
-  while (in.remaining() > 0) {
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    if (!in.GetU32(&len) || !in.GetU32(&crc) || len > kMaxRecordBytes ||
-        in.remaining() < len) {
-      // Torn tail: the crash window of an append. Record boundaries after
-      // the tear are unknowable, so this ends the replay.
-      NoteDropped(result, 1, "journal: torn trailing record");
-      return;
-    }
-    const std::string_view payload = in.Slice(in.pos(), len);
-    in.Skip(len);
-    if (Crc32(payload.data(), payload.size()) != crc) {
-      NoteDropped(result, 1, "journal: record CRC mismatch");
-      return;
-    }
-    Reader rp(payload);
-    SignatureRecord rec;
-    std::uint32_t stack_count = 0;
-    if (!GetRecordFields(&rp, &rec) || !rp.GetU32(&stack_count)) {
-      NoteDropped(result, 1, "journal: malformed record");
-      return;
-    }
-    bool stacks_ok = stack_count > 0;
-    rec.stacks.reserve(std::min<std::size_t>(stack_count, rp.remaining() / 4));
-    for (std::uint32_t s = 0; s < stack_count && stacks_ok; ++s) {
-      std::uint32_t frame_count = 0;
-      if (!rp.GetU32(&frame_count) || frame_count > kMaxRecordBytes / 8) {
-        stacks_ok = false;
-        break;
-      }
-      std::vector<Frame> frames(frame_count);
-      for (std::uint32_t f = 0; f < frame_count; ++f) {
-        if (!rp.GetU64(&frames[f])) {
-          stacks_ok = false;
-          break;
-        }
-      }
-      rec.stacks.push_back(std::move(frames));
-    }
-    if (!stacks_ok) {
-      NoteDropped(result, 1, "journal: malformed record stacks");
-      return;
-    }
-    HistoryImage delta;
-    rec.Canonicalize();
-    delta.records.push_back(std::move(rec));
-    MergeInto(image, delta, policy);
-    ++result->records_loaded;
-    ++result->journal_records;
-  }
-}
-
-// --- Legacy v1 text --------------------------------------------------------
-
-bool LooksLikeTextV1(std::string_view bytes) {
-  return bytes.substr(0, 1) == "#" || bytes.empty();
-}
-
-void ParseTextV1(std::string_view text, HistoryImage* image, LoadResult* result) {
-  result->format_version = 1;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  SignatureRecord rec;
-  bool in_signature = false;
-
-  auto flush = [&]() {
-    if (rec.stacks.empty()) {
-      return;
-    }
-    rec.Canonicalize();
-    image->records.push_back(rec);
-    ++result->records_loaded;
-    rec = SignatureRecord{};
-  };
-
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string tok;
-    ls >> tok;
-    if (tok == "sig") {
-      rec = SignatureRecord{};
-      in_signature = true;
-      std::string field;
-      while (ls >> field) {
-        const auto eq = field.find('=');
-        if (eq == std::string::npos) {
-          continue;
-        }
-        const std::string key = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        if (key == "kind") {
-          rec.kind = (value == "starvation") ? 1 : 0;
-        } else if (key == "depth") {
-          rec.match_depth = std::max(1, std::atoi(value.c_str()));
-        } else if (key == "disabled") {
-          rec.disabled = (value == "1");
-        } else if (key == "avoided") {
-          rec.avoidance_count = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "aborts") {
-          rec.abort_count = std::strtoull(value.c_str(), nullptr, 10);
-        }
-      }
-    } else if (tok == "stack" && in_signature) {
-      std::vector<Frame> frames;
-      std::string frame_tok;
-      while (ls >> frame_tok) {
-        frames.push_back(std::strtoull(frame_tok.c_str(), nullptr, 16));
-      }
-      if (!frames.empty()) {
-        rec.stacks.push_back(std::move(frames));
-      }
-    } else if (tok == "end") {
-      flush();
-      in_signature = false;
-    } else {
-      NoteDropped(result, 0, "v1: unrecognized line skipped");
-    }
-  }
-  flush();
 }
 
 }  // namespace persist

@@ -1,25 +1,15 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// On-disk encodings of a HistoryImage. Three formats live here, all pure
-// (bytes in, bytes out — no file descriptors, see src/persist/file.h for
-// the I/O and locking around them):
+// On-disk encoding of a HistoryImage: snapshot v2 (magic "DIMX"), the one
+// history format. Pure — bytes in, bytes out, no file descriptors; see
+// src/persist/file.h for the I/O and locking around it.
 //
-//  * Snapshot v2 (magic "DIMX") — the durable binary format. Versioned
-//    header with its own CRC, an interned-stack section (each distinct call
-//    stack stored once), then one CRC-protected record per signature
-//    referencing stacks by index. Full layout: docs/history-format.md.
+// A versioned header with its own CRC, an interned-stack section (each
+// distinct call stack stored once), then one CRC-protected record per
+// signature referencing stacks by index. Full layout:
+// docs/history-format.md.
 //
-//  * Journal (magic "DIMJ") — the append-only delta sidecar
-//    (<history>.journal). Each record is a self-contained signature snapshot
-//    (stacks inline) so a record is mergeable without the snapshot's intern
-//    table. Appends are single write(2) calls; a crash can only tear the
-//    final record, and replay drops the torn tail.
-//
-//  * Legacy v1 ("# dimmunix history v1") — the original human-readable text
-//    format. Read-only: v1 files load forever, but every save writes v2
-//    (history_tool upgrade converts in place).
-//
-// Decoders are tolerant by default: a record whose CRC fails or that runs
+// The decoder is tolerant by default: a record whose CRC fails or that runs
 // past the end of the buffer is dropped and counted in
 // LoadResult::records_dropped; everything salvageable loads. Strict
 // consumers (history_tool validate) reject any drop.
@@ -38,9 +28,7 @@ namespace dimmunix {
 namespace persist {
 
 inline constexpr std::string_view kSnapshotMagic = "DIMX";
-inline constexpr std::string_view kJournalMagic = "DIMJ";
 inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::string_view kTextHeaderV1 = "# dimmunix history v1";
 
 // CRC-32 (IEEE 802.3 polynomial, reflected), the checksum behind every
 // header and record. Crc32("123456789") == 0xCBF43926.
@@ -50,15 +38,14 @@ enum class LoadStatus {
   kOk,        // loaded (possibly with dropped records — see records_dropped)
   kNotFound,  // no file: an empty immune system, not an error
   kIoError,   // the file exists but could not be read
-  kCorrupt,   // unrecognizable header / unusable stack section
+  kCorrupt,   // unrecognizable header / unusable stack section: never rewritten
 };
 
 struct LoadResult {
   LoadStatus status = LoadStatus::kOk;
-  int format_version = 0;           // 1 or 2 once a header was recognized
+  int format_version = 0;           // 2 once a header was recognized
   std::size_t records_loaded = 0;   // records decoded successfully
   std::size_t records_dropped = 0;  // CRC-failed / torn / malformed records
-  std::size_t journal_records = 0;  // of records_loaded, how many came from a journal
   std::string message;              // human-readable detail for warnings
 
   // The caller got a usable (possibly empty) image.
@@ -67,42 +54,12 @@ struct LoadResult {
   bool clean() const { return ok() && records_dropped == 0; }
 };
 
-// --- Snapshot v2 -----------------------------------------------------------
-
 std::string EncodeSnapshotV2(const HistoryImage& image);
 
 // Appends decoded records to `image`. Returns false (status kCorrupt) when
 // the header or the stack section is unusable; individual bad records are
 // dropped and counted, not fatal.
 bool DecodeSnapshotV2(std::string_view bytes, HistoryImage* image, LoadResult* result);
-
-// --- Journal ---------------------------------------------------------------
-
-// The journal header embeds the CRC-32 of the snapshot file it extends
-// (`snapshot_crc`, 0 when there is no snapshot yet). That binding lets a
-// loader detect the one crash window where a journal outlives a *newer*
-// snapshot — SIGKILL between a compaction's rename and its journal unlink —
-// and demote the stale journal's knob updates (see ReplayJournal).
-std::string EncodeJournalHeader(std::uint32_t snapshot_crc = 0);
-std::string EncodeJournalRecord(const SignatureRecord& record);
-
-// Replays journal bytes into `image`. A journal whose header binding equals
-// `current_snapshot_crc` is fresh: records merge with kPreferIncoming (they
-// are newer than the snapshot). A mismatched binding means the journal
-// predates the snapshot on disk; its records then merge with
-// kPreferExisting — signature presence and counter maxima still land, but
-// stale operator knobs (disabled flag, depth) cannot roll the newer
-// snapshot back. Stops at the first torn/corrupt record — everything after
-// a tear is unrecoverable because record boundaries are lost.
-void ReplayJournal(std::string_view bytes, HistoryImage* image, LoadResult* result,
-                   std::uint32_t current_snapshot_crc = 0);
-
-// --- Legacy v1 text --------------------------------------------------------
-
-// True if `bytes` starts with the v1 text header.
-bool LooksLikeTextV1(std::string_view bytes);
-
-void ParseTextV1(std::string_view text, HistoryImage* image, LoadResult* result);
 
 }  // namespace persist
 }  // namespace dimmunix

@@ -1,9 +1,9 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // HistoryImage — the portable, runtime-free representation of a signature
-// history. It is what the on-disk formats (src/persist/format.h) encode and
-// decode, what the journal replays into, and what two histories exchange
-// when they merge: plain frames, no StackIds, no StackTable, no locks.
+// history. It is what the on-disk format (src/persist/format.h) encodes and
+// decodes, and what two histories exchange when they merge: plain frames,
+// no StackIds, no StackTable, no locks.
 //
 // Signatures are keyed by their canonical stack multiset (each stack's
 // frames verbatim, the multiset sorted lexicographically), the same

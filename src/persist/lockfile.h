@@ -2,9 +2,9 @@
 //
 // FileLock — a blocking, exclusive fcntl(2) advisory lock on a sidecar file
 // (<history>.lock). This is the cross-process half of the persistence
-// protocol: every writer (journal append, compaction, history_tool) takes
-// it around load-merge-save, so N instrumented processes sharing one
-// DIMMUNIX_HISTORY never lose each other's signatures. The lock dies with
+// protocol: every writer (store compaction, history_tool) takes it around
+// load-merge-save, so N instrumented processes sharing one DIMMUNIX_HISTORY
+// never lose each other's signatures. The lock dies with
 // the process, so a SIGKILLed holder can never wedge the fleet.
 //
 // Classic POSIX fcntl record locks do not conflict within one process, and

@@ -8,22 +8,19 @@
 // detection loop, and concurrent processes sharing one DIMMUNIX_HISTORY
 // simply overwrote each other. The store fixes both:
 //
-//  * Async: producers (monitor thread, control plane) enqueue a signature
-//    index on a lock-free MPSC queue (src/common/mpsc_queue.h) and return
-//    immediately; a background thread snapshots the signature and appends
-//    one CRC-protected record to <history>.journal. History I/O is off
-//    every other thread entirely.
+//  * Async: producers (monitor thread, control plane) bump a pending count
+//    and return immediately; a background thread writes the history. History
+//    I/O is off every other thread entirely.
 //
-//  * Crash-safe: an append is one write(2); SIGKILL mid-append tears at
-//    most the final record, which replay drops. Snapshots are
-//    write-tmp-fsync-rename. There is no instant at which the on-disk
-//    history is unloadable.
-//
-//  * Shared: after `journal_threshold` appends the store compacts — under
-//    the fcntl FileLock it loads the file (picking up other processes'
+//  * One write path: every write is a compaction (UpdateHistoryFile) —
+//    under the fcntl FileLock it loads the file (picking up other processes'
 //    signatures), merges them into the live History (whose version counter
 //    makes the avoidance engine refresh its caches), and atomically writes
-//    the union. With `resync_period` set, the same load-merge runs
+//    the union (tmp, fsync, rename). Each wake of the writer thread runs one
+//    compaction however many signatures changed, so a burst costs one write.
+//    A SIGKILL at any instruction leaves the old snapshot or the new one.
+//
+//  * Shared: with `resync_period` set, the same load-merge runs
 //    periodically even without local changes, so a `dimctl disable` or a
 //    vendor-shipped signature in one process propagates to every process
 //    sharing the file — no restart (§8).
@@ -40,7 +37,6 @@
 #include <string>
 #include <thread>
 
-#include "src/common/mpsc_queue.h"
 #include "src/obs/recorder.h"
 #include "src/persist/file.h"
 #include "src/persist/image.h"
@@ -48,20 +44,15 @@
 namespace dimmunix {
 
 class History;
-class StackTable;
-struct Signature;
 
 namespace persist {
 
 struct StoreOptions {
-  std::string path;           // the history file; never empty
-  int journal_threshold = 64;  // appends before a snapshot compaction
-  bool fsync_appends = false;  // fsync(2) every journal append
-  // Start() runs a synchronizing compaction (fold a crashed predecessor's
-  // journal, pull in other processes' signatures, guarantee the file
-  // exists). False when the runtime was told not to load history at init
-  // (Config::load_history_on_init) — the file is then left untouched until
-  // an explicit reload/save.
+  std::string path;  // the history file; never empty
+  // Start() runs a synchronizing compaction (pull in other processes'
+  // signatures, guarantee the file exists). False when the runtime was told
+  // not to load history at init (Config::load_history_on_init) — the file is
+  // then left untouched until an explicit reload/save.
   bool merge_on_start = true;
   // > 0: periodically load-merge the shared file even without local writes,
   // consuming signatures and operator actions from other processes live.
@@ -69,24 +60,21 @@ struct StoreOptions {
 };
 
 struct StoreStatsSnapshot {
-  std::uint64_t appends = 0;         // journal records written
   std::uint64_t compactions = 0;     // snapshot rewrites
   std::uint64_t foreign_merged = 0;  // signatures learned from the shared file
-  std::uint64_t io_errors = 0;
+  std::uint64_t io_errors = 0;       // failed writes, and files refused as unreadable
   // Operator-facing health (dimctl status):
-  std::uint64_t queued = 0;               // deltas enqueued, not yet journaled
-  std::uint64_t journal_since_compact = 0;  // records appended since the last compaction
-  std::uint64_t resyncs = 0;              // load-merge passes over the shared file
-  std::int64_t last_resync_age_ms = -1;   // ms since the last resync; -1 = never
+  std::uint64_t queued = 0;              // changes notified, not yet written
+  std::uint64_t resyncs = 0;             // load-merge passes over the shared file
+  std::int64_t last_resync_age_ms = -1;  // ms since the last resync; -1 = never
 };
 
 class HistoryStore {
  public:
-  // `history` and `stacks` must outlive the store. `recorder` (optional) is
-  // the src/obs flight recorder: journal appends and compactions emit
-  // kStoreFlush/kStoreCompact spans when tracing is live.
-  HistoryStore(StoreOptions options, History* history, StackTable* stacks,
-               obs::Recorder* recorder = nullptr);
+  // `history` must outlive the store. `recorder` (optional) is the src/obs
+  // flight recorder: compactions emit kStoreCompact spans when tracing is
+  // live.
+  HistoryStore(StoreOptions options, History* history, obs::Recorder* recorder = nullptr);
   ~HistoryStore();  // Stop()
 
   HistoryStore(const HistoryStore&) = delete;
@@ -97,13 +85,13 @@ class HistoryStore {
   // can watch for the file as soon as the runtime is up.
   void Start();
 
-  // Drains pending deltas, runs a final compaction if anything is dirty,
-  // and joins the thread. Idempotent.
+  // Joins the thread, then runs a final compaction if a change is still
+  // pending. Idempotent.
   void Stop();
 
-  // Producer side, any thread, O(1), no I/O: records that signature `index`
-  // was added or changed. The writer thread persists it asynchronously.
-  void NotifySignatureChanged(int index);
+  // Producer side, any thread, O(1), no I/O: records that a signature was
+  // added or changed. The writer thread persists the history asynchronously.
+  void NotifySignatureChanged();
 
   // Synchronous lock-merge-save compaction (control plane, operator ops):
   // on return the file durably contains the live history merged with every
@@ -128,20 +116,16 @@ class HistoryStore {
 
  private:
   void Loop();
-  void DrainQueue();  // writer thread (or post-join) only
-  void AppendDelta(int index);
   // `sync_only` marks startup/resync compactions, which count as resyncs;
-  // explicit saves and journal-threshold compactions do not.
+  // writes of local changes and explicit saves do not.
   bool Compact(MergePolicy policy, bool sync_only = false);
-  SignatureRecord RecordFor(const Signature& sig) const;
 
   const StoreOptions options_;
   History* history_;
-  StackTable* stacks_;
   obs::Recorder* recorder_;
   std::function<void()> on_merged_;
 
-  MpscQueue<int> queue_;  // changed signature indices awaiting a journal append
+  std::atomic<std::uint64_t> pending_{0};  // changes notified since the last write
   std::mutex cv_m_;
   std::condition_variable cv_;
   bool wake_ = false;
@@ -149,16 +133,11 @@ class HistoryStore {
   bool started_ = false;
   std::thread thread_;
 
-  std::mutex io_m_;  // serializes this process's journal/compaction I/O
-  int appends_since_compact_ = 0;  // guarded by io_m_
-  bool dirty_ = false;             // guarded by io_m_
+  std::mutex io_m_;  // serializes this process's compactions
 
-  std::atomic<std::uint64_t> stat_appends_{0};
   std::atomic<std::uint64_t> stat_compactions_{0};
   std::atomic<std::uint64_t> stat_foreign_{0};
   std::atomic<std::uint64_t> stat_io_errors_{0};
-  std::atomic<std::uint64_t> stat_queued_{0};         // producer inc, writer dec
-  std::atomic<std::uint64_t> stat_since_compact_{0};  // mirrors appends_since_compact_
   std::atomic<std::uint64_t> stat_resyncs_{0};
   std::atomic<std::int64_t> stat_last_resync_ms_{-1};  // steady-clock ms, -1 = never
 };

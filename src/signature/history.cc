@@ -197,8 +197,7 @@ bool History::Load(const std::string& path) {
   }
   const int added = MergeImage(image, persist::MergePolicy::kPreferIncoming);
   DIMMUNIX_LOG(kInfo) << "history: loaded " << added << " signature(s) from " << path
-                      << " (format v" << result.format_version << ", "
-                      << result.journal_records << " journal record(s))";
+                      << " (format v" << result.format_version << ")";
   return true;
 }
 

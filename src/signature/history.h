@@ -16,10 +16,9 @@
 // go through an internal lock so the avoidance path can take consistent
 // snapshots.
 //
-// Persistence lives in src/persist/: histories save as the versioned binary
-// v2 format (magic/CRC, interned stacks, atomic tmp+rename — see
-// docs/history-format.md) and load from v2, the legacy v1 text format, or a
-// crash-tolerant journal sidecar. History exchanges data with that layer via
+// Persistence lives in src/persist/: histories save and load as the
+// versioned binary v2 format (magic/CRC, interned stacks, atomic tmp+rename
+// — see docs/history-format.md). History exchanges data with that layer via
 // persist::HistoryImage (ExportImage/MergeImage below); the asynchronous
 // writer around it is persist::HistoryStore.
 
@@ -95,10 +94,10 @@ class History {
   std::uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   // Persistence ---------------------------------------------------------------
-  // Loads (merging) signatures from `path` — v2 binary, legacy v1 text, or
-  // journal sidecar, auto-detected. Missing file is not an error (returns
-  // true with nothing loaded). Malformed content is skipped with a warning;
-  // returns false only on I/O failure of an existing file.
+  // Loads (merging) signatures from the v2 snapshot at `path`. Missing file
+  // is not an error (returns true with nothing loaded). Malformed content is
+  // skipped with a warning; returns false only on I/O failure of an existing
+  // file.
   bool Load(const std::string& path);
   // Atomically writes the whole history to `path` in format v2. Thread-safe:
   // concurrent saves (monitor thread vs. control-plane ops) are serialized.

@@ -242,7 +242,7 @@ TEST(ProtocolExecuteTest, HistorySavePersistsDurably) {
   const std::string reply = HandleLine(rt, "history save");
   EXPECT_EQ(reply.rfind("ok\n", 0), 0u);
   EXPECT_NE(reply.find("signatures=1\n"), std::string::npos);
-  // On return the signature is durable in the snapshot (no pending journal).
+  // On return the signature is durable in the snapshot.
   StackTable table(10);
   History loaded(&table);
   ASSERT_TRUE(loaded.Load(path));

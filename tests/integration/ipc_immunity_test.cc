@@ -4,7 +4,7 @@
 //
 //   run 1: two forked processes form an AB-BA cycle over two global locks;
 //          each monitor folds the peer's arena edges into its RAG, detects
-//          the cross-process deadlock, and journals the proc-qualified
+//          the cross-process deadlock, and persists the proc-qualified
 //          signature into the shared history file.
 //   run 2: fresh incarnations load that history; the staggered process
 //          refuses to take its first lock into the known pattern (yield),

@@ -3,8 +3,8 @@
 // Crash-safety and multi-process tests — the acceptance criteria of the
 // durable-immunity work:
 //
-//  * SIGKILL at an arbitrary point during journal appends leaves a file
-//    History::Load accepts (at most the torn final record is lost).
+//  * SIGKILL at an arbitrary point during load-merge-write leaves a file
+//    that validates clean and holds every acknowledged signature.
 //  * N processes doing concurrent load-merge-save on one history file lose
 //    no signatures (the fcntl lock protocol).
 //
@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "src/persist/file.h"
 #include "src/signature/history.h"
@@ -48,7 +50,18 @@ SignatureRecord UniqueRecord(std::uint64_t child, std::uint64_t i) {
   return rec;
 }
 
-TEST(CrashTest, SigkillMidJournalAppendLeavesLoadableFile) {
+// Removes the .tmp.<pid>.<seq> files a killed writer can leave behind.
+void RemoveTmpFiles(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp.";
+  for (const auto& entry : std::filesystem::directory_iterator(p.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+}
+
+TEST(CrashTest, SigkillMidMergeLeavesEveryAcknowledgedSignature) {
   const std::string path = TempPath("kill");
   // Seed one durable signature so there is always something to protect.
   {
@@ -57,39 +70,60 @@ TEST(CrashTest, SigkillMidJournalAppendLeavesLoadableFile) {
     ASSERT_TRUE(SaveHistoryFile(path, seed));
   }
 
+  int acks[2];
+  ASSERT_EQ(::pipe(acks), 0);
   const pid_t child = fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
-    // Append records as fast as possible until killed. Any write() may be
-    // the one the SIGKILL lands in.
+    // Merge distinct records one at a time until killed, acknowledging each
+    // index once MergeIntoFile returned (renamed and durable). The SIGKILL
+    // can land anywhere in a load, write, fsync or rename.
+    ::close(acks[0]);
     for (std::uint64_t i = 1;; ++i) {
-      AppendJournalRecord(path, UniqueRecord(1, i), /*fsync_after=*/false);
+      HistoryImage mine;
+      mine.records.push_back(UniqueRecord(1, i));
+      if (!MergeIntoFile(path, mine)) {
+        _exit(10);
+      }
+      if (::write(acks[1], &i, sizeof(i)) != static_cast<ssize_t>(sizeof(i))) {
+        _exit(11);
+      }
     }
   }
-  ::usleep(60 * 1000);  // let it get a few hundred appends in
+  ::close(acks[1]);
+  ::usleep(150 * 1000);  // let it get some merges in
   ASSERT_EQ(::kill(child, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_TRUE(WIFSIGNALED(status)) << "the merging child failed on its own";
 
-  // The file must be accepted by a tolerant load...
+  std::vector<std::uint64_t> acked;
+  std::uint64_t index = 0;
+  while (::read(acks[0], &index, sizeof(index)) == static_cast<ssize_t>(sizeof(index))) {
+    acked.push_back(index);
+  }
+  ::close(acks[0]);
+  EXPECT_FALSE(acked.empty()) << "no merge finished before the kill";
+
+  // The strict check passes: the kill left the old snapshot or the new
+  // one, and any leftover .tmp file is not part of the load.
+  const LoadResult validated = ValidateHistoryFile(path);
+  EXPECT_EQ(validated.status, LoadStatus::kOk) << validated.message;
+  EXPECT_EQ(validated.records_dropped, 0u);
+
   HistoryImage image;
-  const LoadResult result = LoadHistoryFile(path, &image);
-  EXPECT_EQ(result.status, LoadStatus::kOk);
-  EXPECT_GE(image.records.size(), 1u) << "the seed signature must survive";
-  // ...at most the torn final record may be missing.
-  EXPECT_LE(result.records_dropped, 1u);
+  ASSERT_EQ(LoadHistoryFile(path, &image).status, LoadStatus::kOk);
+  EXPECT_GE(image.Find(UniqueRecord(99, 0)), 0) << "the seed signature was lost";
+  for (const std::uint64_t i : acked) {
+    EXPECT_GE(image.Find(UniqueRecord(1, i)), 0) << "acknowledged record " << i << " lost";
+  }
 
   // And by the full History stack (what a restarting runtime does).
   StackTable table(10);
   History history(&table);
   EXPECT_TRUE(history.Load(path));
-  EXPECT_GE(history.size(), 1u);
-
-  // Compaction (what the next runtime's store does at startup) folds the
-  // survivors into a snapshot that then validates clean.
-  ASSERT_TRUE(SaveHistoryFile(path, image));
-  EXPECT_EQ(ValidateHistoryFile(path).status, LoadStatus::kOk);
+  EXPECT_EQ(history.size(), image.records.size());
+  RemoveTmpFiles(path);
   RemoveHistoryFiles(path);
 }
 
@@ -132,41 +166,6 @@ TEST(CrashTest, TwoProcessConcurrentMergeLosesNoSignatures) {
       EXPECT_GE(image.Find(UniqueRecord(c, i)), 0) << "child " << c << " record " << i;
     }
   }
-  RemoveHistoryFiles(path);
-}
-
-TEST(CrashTest, ConcurrentAppendersInterleaveWithoutCorruption) {
-  // Two processes appending journal records under the file lock: the journal
-  // must replay every record from both.
-  const std::string path = TempPath("append2");
-  constexpr int kPerChild = 40;
-
-  pid_t children[2] = {-1, -1};
-  for (std::uint64_t c = 0; c < 2; ++c) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      for (std::uint64_t i = 0; i < kPerChild; ++i) {
-        if (!AppendJournalRecord(path, UniqueRecord(c + 1, i), false)) {
-          _exit(10);
-        }
-      }
-      _exit(0);
-    }
-    children[c] = pid;
-  }
-  for (pid_t pid : children) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0);
-  }
-
-  HistoryImage image;
-  const LoadResult result = LoadHistoryFile(path, &image);
-  ASSERT_EQ(result.status, LoadStatus::kOk);
-  EXPECT_EQ(result.records_dropped, 0u);
-  EXPECT_EQ(image.records.size(), 2u * kPerChild);
   RemoveHistoryFiles(path);
 }
 

@@ -1,8 +1,9 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// Tests for the durable-triple file layer: atomic snapshot saves, journal
-// sidecar replay, lock-merge-save, validation, and the byte-identical
-// save -> load -> save property over randomized images.
+// Tests for the history file layer: atomic snapshot saves, the one
+// lock-load-merge-write path and the files it refuses to replace,
+// validation, and the byte-identical save -> load -> save property over
+// randomized images.
 
 #include "src/persist/file.h"
 
@@ -109,46 +110,79 @@ TEST_F(FileTest, MissingFileIsNotFound) {
   EXPECT_TRUE(image.records.empty());
 }
 
-TEST_F(FileTest, JournalSidecarIsReplayedOverSnapshot) {
+TEST_F(FileTest, ZeroByteFileIsAnEmptyHistory) {
   const std::string path = TempPath();
-  Rng rng;
-  HistoryImage snapshot = RandomImage(&rng, 2);
-  ASSERT_TRUE(SaveHistoryFile(path, snapshot));
-
-  // A third signature arrives only via the journal.
-  const HistoryImage extra = RandomImage(&rng, 1);
-  ASSERT_TRUE(AppendJournalRecord(path, extra.records[0], /*fsync_after=*/false));
-
+  { std::ofstream out(path, std::ios::binary); }
   HistoryImage loaded;
   const LoadResult result = LoadHistoryFile(path, &loaded);
   EXPECT_EQ(result.status, LoadStatus::kOk);
-  EXPECT_EQ(result.journal_records, 1u);
-  EXPECT_EQ(loaded.records.size(), 3u);
-  EXPECT_GE(loaded.Find(extra.records[0]), 0);
+  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(ValidateHistoryFile(path).status, LoadStatus::kOk);
+
+  // The first write gives it a v2 header.
+  Rng rng;
+  ASSERT_TRUE(MergeIntoFile(path, RandomImage(&rng, 2)));
+  EXPECT_EQ(ReadBytes(path).substr(0, 4), kSnapshotMagic);
+  HistoryImage merged;
+  EXPECT_EQ(LoadHistoryFile(path, &merged).records_loaded, 2u);
 }
 
-TEST_F(FileTest, SaveRemovesStaleJournal) {
+TEST_F(FileTest, LeftoverJournalSidecarIsNotRead) {
   const std::string path = TempPath();
   Rng rng;
-  const HistoryImage image = RandomImage(&rng, 1);
-  ASSERT_TRUE(AppendJournalRecord(path, image.records[0], false));
-  ASSERT_TRUE(std::filesystem::exists(JournalPathFor(path)));
-  ASSERT_TRUE(SaveHistoryFile(path, image));
-  EXPECT_FALSE(std::filesystem::exists(JournalPathFor(path)))
-      << "a snapshot must supersede (and remove) the journal";
-}
-
-TEST_F(FileTest, JournalAloneIsLoadable) {
-  // A process can die after its first append but before any compaction:
-  // journal with no snapshot. Load must accept it.
-  const std::string path = TempPath();
-  Rng rng;
-  const HistoryImage image = RandomImage(&rng, 1);
-  ASSERT_TRUE(AppendJournalRecord(path, image.records[0], false));
+  ASSERT_TRUE(SaveHistoryFile(path, RandomImage(&rng, 1)));
+  const std::string sidecar = path + ".journal";
+  {
+    std::ofstream out(sidecar, std::ios::binary);
+    out << "DIMJ" << std::string(64, '\x5a');
+  }
   HistoryImage loaded;
   const LoadResult result = LoadHistoryFile(path, &loaded);
-  EXPECT_EQ(result.status, LoadStatus::kOk);
+  EXPECT_TRUE(result.clean());
   EXPECT_EQ(loaded.records.size(), 1u);
+  std::filesystem::remove(sidecar);
+}
+
+TEST_F(FileTest, WritersNeverReplaceAFileTheyCannotDecode) {
+  // A script the history path points at by mistake, and a snapshot from a
+  // newer writer (version 3) sharing the file: both load kCorrupt and must
+  // survive a merge byte for byte.
+  std::string newer = "DIMX";
+  for (const std::uint32_t v : {3u, 0u, 0u}) {
+    for (int i = 0; i < 4; ++i) {
+      newer.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+  const std::uint32_t crc = Crc32(newer.data(), newer.size());
+  for (int i = 0; i < 4; ++i) {
+    newer.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  Rng rng;
+  const HistoryImage image = RandomImage(&rng, 2);
+  for (const std::string& content : {std::string("#!/bin/sh\nexec true\n"), newer}) {
+    const std::string path = TempPath();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << content;
+    }
+    HistoryImage loaded;
+    EXPECT_EQ(LoadHistoryFile(path, &loaded).status, LoadStatus::kCorrupt);
+    std::string error;
+    EXPECT_FALSE(MergeIntoFile(path, image, nullptr, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(ReadBytes(path), content);
+  }
+}
+
+TEST_F(FileTest, UpdateThatChangesNothingDoesNotRewrite) {
+  const std::string path = TempPath();
+  Rng rng;
+  ASSERT_TRUE(MergeIntoFile(path, RandomImage(&rng, 3)));
+  const auto before = std::filesystem::last_write_time(path);
+  bool wrote = true;
+  ASSERT_TRUE(UpdateHistoryFile(path, [](HistoryImage*) {}, &wrote));
+  EXPECT_FALSE(wrote);
+  EXPECT_EQ(std::filesystem::last_write_time(path), before);
 }
 
 TEST_F(FileTest, MergeIntoFileIsLossless) {
@@ -219,24 +253,6 @@ TEST_F(FileTest, FileLocksExcludeEachOtherWithinOneProcess) {
   first.Release();
   contender.join();
   EXPECT_TRUE(second_acquired.load());
-}
-
-TEST_F(FileTest, LegacyV1TextAutoDetects) {
-  const std::string path = TempPath();
-  {
-    std::ofstream out(path);
-    out << "# dimmunix history v1\n"
-        << "sig kind=deadlock depth=2 disabled=0 avoided=4 aborts=0\n"
-        << "stack ff aa\n"
-        << "stack 1b\n"
-        << "end\n";
-  }
-  HistoryImage loaded;
-  const LoadResult result = LoadHistoryFile(path, &loaded);
-  EXPECT_EQ(result.status, LoadStatus::kOk);
-  EXPECT_EQ(result.format_version, 1);
-  ASSERT_EQ(loaded.records.size(), 1u);
-  EXPECT_EQ(loaded.records[0].avoidance_count, 4u);
 }
 
 }  // namespace

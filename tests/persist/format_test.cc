@@ -1,13 +1,17 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // Unit tests for the pure encoding layer: CRC-32, snapshot v2
-// encode/decode, journal records, legacy v1 text, and the corruption
-// taxonomy (bit flips are dropped per record, torn tails end a replay,
-// header damage is fatal).
+// encode/decode, the corruption taxonomy (bit flips are dropped per record,
+// truncation drops the tail, header damage is fatal), and a seeded mutation
+// sweep over the decoder.
 
 #include "src/persist/format.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <memory>
+#include <random>
 
 namespace dimmunix {
 namespace persist {
@@ -124,106 +128,166 @@ TEST(SnapshotV2Test, TruncationDropsTailRecords) {
   EXPECT_EQ(decoded.records.size(), result.records_loaded);
 }
 
-TEST(JournalTest, AppendedRecordsReplayInOrder) {
-  std::string bytes = EncodeJournalHeader();
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    bytes += EncodeJournalRecord(MakeRecord(i));
+// --- Seeded mutation sweep over DecodeSnapshotV2 ----------------------------
+//
+// The snapshot is the one history decoder, and it reads files other
+// processes (or other people) wrote. Every mutant below is decoded from an
+// exactly-sized heap block, so the ASan/UBSan lane flags any read past the
+// buffer. Each decode must return only records of the original image, and a
+// decode that returns fewer of them must report the loss (kCorrupt, or
+// records_dropped > 0).
+
+constexpr std::uint32_t kSweepSeeds[] = {1, 7, 42, 1009};
+constexpr int kRecordSectionFlips = 256;  // seeded flips past the stack section
+constexpr std::size_t kRecordFixedBytes = 36;  // payload fields + ref count
+
+HistoryImage SeededImage(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  HistoryImage image;
+  const std::uint64_t count = 3 + rng() % 4;
+  for (std::uint64_t r = 0; r < count; ++r) {
+    SignatureRecord rec = MakeRecord(seed * 100 + r, 1 + rng() % 3, 1 + rng() % 4);
+    rec.knob_epoch = static_cast<std::uint16_t>(rng() % 5);
+    image.records.push_back(std::move(rec));
   }
-  HistoryImage image;
-  LoadResult result;
-  ReplayJournal(bytes, &image, &result);
-  EXPECT_EQ(result.journal_records, 3u);
-  EXPECT_EQ(result.records_dropped, 0u);
-  ASSERT_EQ(image.records.size(), 3u);
+  // One stack shared by two records, so the stack section interns.
+  image.records[1].stacks.push_back(image.records[0].stacks[0]);
+  image.records[1].Canonicalize();
+  return image;
 }
 
-TEST(JournalTest, ReplayDeduplicatesAndUpgradesCounters) {
-  SignatureRecord rec = MakeRecord(7);
-  rec.avoidance_count = 1;
-  std::string bytes = EncodeJournalHeader();
-  bytes += EncodeJournalRecord(rec);
-  rec.avoidance_count = 9;  // later snapshot of the same signature
-  rec.disabled = true;
-  bytes += EncodeJournalRecord(rec);
-  HistoryImage image;
-  LoadResult result;
-  ReplayJournal(bytes, &image, &result);
-  ASSERT_EQ(image.records.size(), 1u);
-  EXPECT_EQ(image.records[0].avoidance_count, 9u);
-  EXPECT_TRUE(image.records[0].disabled);  // journal order wins (newer)
+bool IsOriginal(const SignatureRecord& rec, const HistoryImage& original) {
+  for (const SignatureRecord& o : original.records) {
+    if (SameRecord(rec, o) && rec.knob_epoch == o.knob_epoch) {
+      return true;
+    }
+  }
+  return false;
 }
 
-TEST(JournalTest, TornTailIsDroppedEverythingBeforeSurvives) {
-  std::string bytes = EncodeJournalHeader();
-  bytes += EncodeJournalRecord(MakeRecord(1));
-  bytes += EncodeJournalRecord(MakeRecord(2));
-  const std::string full_two = bytes;
-  bytes += EncodeJournalRecord(MakeRecord(3));
-  // Tear the third record anywhere: every prefix length must still load
-  // exactly the first two records (the SIGKILL-mid-append contract).
-  for (std::size_t cut = full_two.size() + 1; cut < bytes.size(); cut += 7) {
-    HistoryImage image;
-    LoadResult result;
-    ReplayJournal(std::string_view(bytes).substr(0, cut), &image, &result);
-    EXPECT_EQ(image.records.size(), 2u) << "cut at " << cut;
-    EXPECT_EQ(result.records_dropped, 1u) << "cut at " << cut;
+// Offset of the record section: everything after it is records, each
+// 8 bytes of length + CRC and a payload of fixed fields plus 4 per ref.
+std::size_t RecordSectionOffset(const HistoryImage& image, std::size_t encoded_size) {
+  std::size_t records = 0;
+  for (const SignatureRecord& rec : image.records) {
+    records += 8 + kRecordFixedBytes + 4 * rec.stacks.size();
+  }
+  return encoded_size - records;
+}
+
+void PutU32At(std::string* bytes, std::size_t offset, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
 }
 
-TEST(JournalTest, StaleJournalCannotRollBackKnobs) {
-  // The rename-then-unlink crash window: a journal created against an older
-  // snapshot (binding mismatch) must not override the newer snapshot's
-  // operator knobs, but its signatures/counters still merge.
-  SignatureRecord known = MakeRecord(5);
-  known.disabled = true;  // the operator's decision, already in the snapshot
-  known.avoidance_count = 3;
-  HistoryImage image;
-  image.records.push_back(known);
-
-  SignatureRecord stale = known;
-  stale.disabled = false;  // pre-disable journal record
-  stale.avoidance_count = 8;
-  std::string bytes = EncodeJournalHeader(/*snapshot_crc=*/0xDEADBEEF);
-  bytes += EncodeJournalRecord(stale);
-  bytes += EncodeJournalRecord(MakeRecord(6));  // a genuinely new signature
-
+void ExpectOnlyOriginalRecords(const HistoryImage& original, const std::string& mutant,
+                               const std::string& what) {
+  std::unique_ptr<char[]> exact(new char[mutant.size()]);
+  std::memcpy(exact.get(), mutant.data(), mutant.size());
+  HistoryImage decoded;
   LoadResult result;
-  ReplayJournal(bytes, &image, &result, /*current_snapshot_crc=*/0x12345678);
-  ASSERT_EQ(image.records.size(), 2u);
-  EXPECT_TRUE(image.records[0].disabled) << "stale journal re-enabled a disabled signature";
-  EXPECT_EQ(image.records[0].avoidance_count, 8u);  // counters still ratchet
-
-  // Matching binding: the journal is fresh and its knobs win as usual.
-  HistoryImage image2;
-  image2.records.push_back(known);
-  LoadResult result2;
-  ReplayJournal(bytes, &image2, &result2, /*current_snapshot_crc=*/0xDEADBEEF);
-  EXPECT_FALSE(image2.records[0].disabled);
+  const bool ok = DecodeSnapshotV2(std::string_view(exact.get(), mutant.size()), &decoded, &result);
+  EXPECT_EQ(decoded.records.size(), result.records_loaded) << what;
+  for (const SignatureRecord& rec : decoded.records) {
+    EXPECT_TRUE(IsOriginal(rec, original)) << what << ": returned a record it was never given";
+  }
+  const bool loss_reported =
+      !ok || result.status == LoadStatus::kCorrupt || result.records_dropped > 0;
+  if (decoded.records.size() < original.records.size()) {
+    EXPECT_TRUE(loss_reported) << what << ": " << decoded.records.size() << " of "
+                               << original.records.size() << " records, no loss reported";
+  }
 }
 
-TEST(TextV1Test, ParsesLegacyFormat) {
-  const std::string text =
-      "# dimmunix history v1\n"
-      "garbage line\n"
-      "sig kind=starvation depth=3 disabled=1 avoided=12 aborts=2\n"
-      "stack ff aa\n"
-      "stack 1b\n"
-      "end\n";
-  HistoryImage image;
-  LoadResult result;
-  ParseTextV1(text, &image, &result);
-  EXPECT_EQ(result.format_version, 1);
-  ASSERT_EQ(image.records.size(), 1u);
-  const SignatureRecord& rec = image.records[0];
-  EXPECT_EQ(rec.kind, 1);
-  EXPECT_EQ(rec.match_depth, 3);
-  EXPECT_TRUE(rec.disabled);
-  EXPECT_EQ(rec.avoidance_count, 12u);
-  EXPECT_EQ(rec.abort_count, 2u);
-  ASSERT_EQ(rec.stacks.size(), 2u);
-  // Canonical order: {0x1b} sorts before {0xff, 0xaa}.
-  EXPECT_EQ(rec.stacks[0], (std::vector<Frame>{0x1b}));
-  EXPECT_EQ(rec.stacks[1], (std::vector<Frame>{0xff, 0xaa}));
+TEST(SnapshotV2MutationTest, EveryHeaderAndStackBitFlipPlusSeededRecordFlips) {
+  for (const std::uint32_t seed : kSweepSeeds) {
+    const HistoryImage image = SeededImage(seed);
+    const std::string bytes = EncodeSnapshotV2(image);
+    const std::size_t records_at = RecordSectionOffset(image, bytes.size());
+    ASSERT_GT(records_at, 20u);
+    ASSERT_LT(records_at, bytes.size());
+    for (std::size_t bit = 0; bit < records_at * 8; ++bit) {
+      std::string mutant = bytes;
+      mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+      ExpectOnlyOriginalRecords(image, mutant,
+                                "seed " + std::to_string(seed) + " bit " + std::to_string(bit));
+    }
+    std::mt19937 rng(seed);
+    const std::size_t record_bits = (bytes.size() - records_at) * 8;
+    for (int i = 0; i < kRecordSectionFlips; ++i) {
+      const std::size_t bit = records_at * 8 + rng() % record_bits;
+      std::string mutant = bytes;
+      mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+      ExpectOnlyOriginalRecords(image, mutant,
+                                "seed " + std::to_string(seed) + " bit " + std::to_string(bit));
+    }
+  }
+}
+
+TEST(SnapshotV2MutationTest, EveryTruncationLength) {
+  for (const std::uint32_t seed : kSweepSeeds) {
+    const HistoryImage image = SeededImage(seed);
+    const std::string bytes = EncodeSnapshotV2(image);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      ExpectOnlyOriginalRecords(image, bytes.substr(0, len),
+                                "seed " + std::to_string(seed) + " len " + std::to_string(len));
+    }
+  }
+}
+
+TEST(SnapshotV2MutationTest, ForgedCountsAndLengths) {
+  const std::uint32_t kForged[] = {0, 1, 2, 0x7fffffffu, 0xffffffffu};
+  for (const std::uint32_t seed : kSweepSeeds) {
+    const HistoryImage image = SeededImage(seed);
+    const std::string bytes = EncodeSnapshotV2(image);
+    const std::string tag = "seed " + std::to_string(seed);
+
+    // Header counts, with the header CRC recomputed: a CRC-consistent lie.
+    for (const std::size_t field : {std::size_t{8}, std::size_t{12}}) {
+      for (const std::uint32_t value : kForged) {
+        std::string mutant = bytes;
+        PutU32At(&mutant, field, value);
+        PutU32At(&mutant, 16, Crc32(mutant.data(), 16));
+        ExpectOnlyOriginalRecords(image, mutant,
+                                  tag + " header@" + std::to_string(field) + "=" +
+                                      std::to_string(value));
+      }
+    }
+
+    // The first stack's frame count (its CRC no longer matches).
+    for (const std::uint32_t value : kForged) {
+      std::string mutant = bytes;
+      PutU32At(&mutant, 20, value);
+      ExpectOnlyOriginalRecords(image, mutant, tag + " frame_count=" + std::to_string(value));
+    }
+
+    // Each record's payload length (not CRC-covered), and its ref count with
+    // the payload CRC recomputed.
+    std::size_t at = RecordSectionOffset(image, bytes.size());
+    for (const SignatureRecord& rec : image.records) {
+      const std::size_t payload_len = kRecordFixedBytes + 4 * rec.stacks.size();
+      const std::uint32_t len = static_cast<std::uint32_t>(payload_len);
+      for (const std::uint32_t value : {0u, len - 1, len + 1, 0xffffffffu}) {
+        std::string mutant = bytes;
+        PutU32At(&mutant, at, value);
+        ExpectOnlyOriginalRecords(image, mutant,
+                                  tag + " payload_len@" + std::to_string(at) + "=" +
+                                      std::to_string(value));
+      }
+      const std::uint32_t refs = static_cast<std::uint32_t>(rec.stacks.size());
+      for (const std::uint32_t value : {0u, refs - 1, refs + 1, 0xffffffffu}) {
+        std::string mutant = bytes;
+        PutU32At(&mutant, at + 8 + kRecordFixedBytes - 4, value);
+        PutU32At(&mutant, at + 4, Crc32(mutant.data() + at + 8, payload_len));
+        ExpectOnlyOriginalRecords(image, mutant,
+                                  tag + " ref_count@" + std::to_string(at) + "=" +
+                                      std::to_string(value));
+      }
+      at += 8 + payload_len;
+    }
+    ASSERT_EQ(at, bytes.size());
+  }
 }
 
 TEST(MergeTest, PolicyControlsOperatorKnobs) {

@@ -1,8 +1,9 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// HistoryStore tests: the async journal path, threshold compaction, the
-// synchronous lock-merge-save (SaveNow), export/merge, and live resync
-// between two stores sharing one history file.
+// HistoryStore tests: the async write path and how it coalesces bursts,
+// the synchronous lock-merge-save (SaveNow), export/merge, live resync
+// between two stores sharing one history file, and the files a store must
+// never replace.
 
 #include "src/persist/store.h"
 
@@ -11,8 +12,10 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
+#include "src/core/runtime.h"
 #include "src/signature/history.h"
 #include "src/stack/annotation.h"
 #include "src/stack/stack_table.h"
@@ -72,55 +75,64 @@ TEST_F(StoreTest, StartCreatesTheFileImmediately) {
   const std::string path = TempPath();
   StoreOptions options;
   options.path = path;
-  HistoryStore store(options, &history_, &table_);
+  HistoryStore store(options, &history_);
   EXPECT_FALSE(std::filesystem::exists(path));
   store.Start();
   EXPECT_TRUE(std::filesystem::exists(path));
   store.Stop();
 }
 
-TEST_F(StoreTest, NotifyJournalsAsynchronously) {
+TEST_F(StoreTest, NotifyReachesTheSnapshotAsynchronously) {
   const std::string path = TempPath();
   StoreOptions options;
   options.path = path;
-  options.journal_threshold = 1000;  // never compact during the test
-  HistoryStore store(options, &history_, &table_);
+  HistoryStore store(options, &history_);
   store.Start();
 
-  const int index = AddSignature(&history_, "async::a", "async::b");
-  store.NotifySignatureChanged(index);  // O(1), no I/O on this thread
+  AddSignature(&history_, "async::a", "async::b");
+  store.NotifySignatureChanged();  // O(1), no I/O on this thread
 
-  ASSERT_TRUE(Eventually([&] { return std::filesystem::exists(JournalPathFor(path)); }));
-  ASSERT_TRUE(Eventually([&] { return store.stats().appends >= 1; }));
-
-  // The journal alone (snapshot is still empty) must round-trip the delta.
-  StackTable table2(10);
-  History loaded(&table2);
-  ASSERT_TRUE(loaded.Load(path));
-  EXPECT_EQ(loaded.size(), 1u);
+  // The writer thread compacts it into the snapshot: a fresh load sees it
+  // and the file validates clean, with no sidecar.
+  ASSERT_TRUE(Eventually([&] {
+    StackTable table2(10);
+    History loaded(&table2);
+    return loaded.Load(path) && loaded.size() == 1;
+  }));
+  EXPECT_EQ(ValidateHistoryFile(path).status, LoadStatus::kOk);
+  EXPECT_FALSE(std::filesystem::exists(path + ".journal"));
+  EXPECT_GE(store.stats().compactions, 2u);  // startup + the signature
   store.Stop();
 }
 
-TEST_F(StoreTest, ThresholdTriggersCompaction) {
+TEST_F(StoreTest, BurstOfChangesCoalescesIntoFewWrites) {
   const std::string path = TempPath();
   StoreOptions options;
   options.path = path;
-  options.journal_threshold = 3;
-  HistoryStore store(options, &history_, &table_);
+  HistoryStore store(options, &history_);
   store.Start();
-  for (int i = 0; i < 3; ++i) {
-    const std::string fa = "thresh::a" + std::to_string(i);
-    const std::string fb = "thresh::b" + std::to_string(i);
-    store.NotifySignatureChanged(AddSignature(&history_, fa.c_str(), fb.c_str()));
-  }
-  // Threshold reached -> journal folded into the snapshot and removed.
-  ASSERT_TRUE(Eventually([&] { return store.stats().compactions >= 2; }));
-  ASSERT_TRUE(Eventually([&] { return !std::filesystem::exists(JournalPathFor(path)); }));
+  const std::uint64_t startup = store.stats().compactions;
 
-  StackTable table2(10);
-  History loaded(&table2);
-  ASSERT_TRUE(loaded.Load(path));
-  EXPECT_EQ(loaded.size(), 3u);
+  // Hold the file lock so the writer's first compaction blocks while the
+  // burst arrives: whatever it has not taken yet must go out in one write.
+  constexpr int kBurst = 20;
+  {
+    FileLock held(LockPathFor(path));
+    ASSERT_TRUE(held.Acquire());
+    for (int i = 0; i < kBurst; ++i) {
+      const std::string fa = "burst::a" + std::to_string(i);
+      const std::string fb = "burst::b" + std::to_string(i);
+      AddSignature(&history_, fa.c_str(), fb.c_str());
+      store.NotifySignatureChanged();
+    }
+  }
+  ASSERT_TRUE(Eventually([&] { return store.stats().queued == 0; }));
+  ASSERT_TRUE(Eventually([&] {
+    StackTable table2(10);
+    History loaded(&table2);
+    return loaded.Load(path) && loaded.size() == kBurst;
+  }));
+  EXPECT_LE(store.stats().compactions - startup, 2u);
   store.Stop();
 }
 
@@ -128,14 +140,13 @@ TEST_F(StoreTest, StopFlushesEverything) {
   const std::string path = TempPath();
   StoreOptions options;
   options.path = path;
-  options.journal_threshold = 1000;
   {
-    HistoryStore store(options, &history_, &table_);
+    HistoryStore store(options, &history_);
     store.Start();
-    store.NotifySignatureChanged(AddSignature(&history_, "stop::a", "stop::b"));
+    AddSignature(&history_, "stop::a", "stop::b");
+    store.NotifySignatureChanged();
     store.Stop();
   }
-  EXPECT_FALSE(std::filesystem::exists(JournalPathFor(path)));  // compacted
   StackTable table2(10);
   History loaded(&table2);
   ASSERT_TRUE(loaded.Load(path));
@@ -159,7 +170,7 @@ TEST_F(StoreTest, SaveNowMergesForeignSignaturesIntoLiveHistory) {
   StoreOptions options;
   options.path = path;
   options.merge_on_start = false;  // isolate the SaveNow behavior
-  HistoryStore store(options, &history_, &table_);
+  HistoryStore store(options, &history_);
   int merged_callbacks = 0;
   store.SetOnHistoryMerged([&] { ++merged_callbacks; });
   store.Start();
@@ -186,7 +197,7 @@ TEST_F(StoreTest, ResyncConsumesOtherProcesssWritesLive) {
 
   StoreOptions options_a;
   options_a.path = path;
-  HistoryStore store_a(options_a, &history_, &table_);
+  HistoryStore store_a(options_a, &history_);
   store_a.Start();
 
   StackTable table_b(10);
@@ -194,11 +205,12 @@ TEST_F(StoreTest, ResyncConsumesOtherProcesssWritesLive) {
   StoreOptions options_b;
   options_b.path = path;
   options_b.resync_period = 20ms;
-  HistoryStore store_b(options_b, &history_b, &table_b);
+  HistoryStore store_b(options_b, &history_b);
   store_b.Start();
 
   // A detects a deadlock and persists; B must learn it without any call.
-  store_a.NotifySignatureChanged(AddSignature(&history_, "resync::a", "resync::b"));
+  AddSignature(&history_, "resync::a", "resync::b");
+  store_a.NotifySignatureChanged();
   ASSERT_TRUE(store_a.SaveNow());
   EXPECT_TRUE(Eventually([&] { return history_b.size() == 1; }))
       << "store B never resynced the shared file";
@@ -209,7 +221,7 @@ TEST_F(StoreTest, ResyncConsumesOtherProcesssWritesLive) {
 
 TEST_F(StoreTest, KnobEpochPreventsCompactionFromRevertingForeignDisable) {
   // Process B disables a signature and persists; process A (stale copy in
-  // memory) then runs a threshold-style compaction with kPreferExisting.
+  // memory) then runs a compaction with kPreferExisting.
   // The higher knob_epoch in the file must win — A adopts the disable
   // instead of clobbering it.
   const std::string path = TempPath();
@@ -217,7 +229,7 @@ TEST_F(StoreTest, KnobEpochPreventsCompactionFromRevertingForeignDisable) {
 
   StoreOptions options;
   options.path = path;
-  HistoryStore store_a(options, &history_, &table_);
+  HistoryStore store_a(options, &history_);
   store_a.Start();
   ASSERT_TRUE(store_a.SaveNow());
 
@@ -248,7 +260,7 @@ TEST_F(StoreTest, ExportAndMergeRoundTrip) {
   const std::string exported = TempPath();
   StoreOptions options;
   options.path = path;
-  HistoryStore store(options, &history_, &table_);
+  HistoryStore store(options, &history_);
   store.Start();
   AddSignature(&history_, "exp::a", "exp::b");
   ASSERT_TRUE(store.ExportTo(exported));
@@ -259,7 +271,7 @@ TEST_F(StoreTest, ExportAndMergeRoundTrip) {
   const std::string path2 = TempPath();
   StoreOptions options2;
   options2.path = path2;
-  HistoryStore store2(options2, &history2, &table2);
+  HistoryStore store2(options2, &history2);
   store2.Start();
   EXPECT_EQ(store2.MergeFrom(exported), 1);
   EXPECT_EQ(history2.size(), 1u);
@@ -268,6 +280,53 @@ TEST_F(StoreTest, ExportAndMergeRoundTrip) {
 
   store2.Stop();
   store.Stop();
+}
+
+// A history path that holds something the store cannot decode — a script
+// it points at by mistake, or a snapshot from a newer writer (version 3)
+// sharing the file — must come out of a whole Runtime lifetime byte for
+// byte, with the refusals counted as I/O errors.
+TEST_F(StoreTest, RuntimeNeverReplacesAFileItCannotDecode) {
+  std::string newer = "DIMX";
+  for (const std::uint32_t v : {3u, 0u, 0u}) {
+    for (int i = 0; i < 4; ++i) {
+      newer.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+  const std::uint32_t crc = Crc32(newer.data(), newer.size());
+  for (int i = 0; i < 4; ++i) {
+    newer.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
+  }
+  for (const std::string& content : {std::string("#!/bin/sh\nexec true\n"), newer}) {
+    const std::string path = TempPath();
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << content;
+    }
+    {
+      Config config;
+      config.start_monitor = false;
+      config.history_path = path;
+      Runtime rt(config);
+      ASSERT_NE(rt.history_store(), nullptr);
+      EXPECT_GE(rt.history_store()->stats().io_errors, 1u) << "startup merge was not refused";
+
+      // One new signature, written through the operator path.
+      bool added = false;
+      rt.history().Add(SignatureKind::kDeadlock,
+                       {rt.stacks().Intern({FrameFromName("refuse::a")}),
+                        rt.stacks().Intern({FrameFromName("refuse::b")})},
+                       2, &added);
+      ASSERT_TRUE(added);
+      const std::uint64_t errors_before = rt.history_store()->stats().io_errors;
+      EXPECT_FALSE(rt.SaveHistoryNow());
+      EXPECT_GT(rt.history_store()->stats().io_errors, errors_before);
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string after((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(after, content) << "the store replaced a file it could not decode";
+  }
 }
 
 }  // namespace

@@ -137,20 +137,28 @@ TEST_F(HistoryTest, MissingFileIsNotAnError) {
   EXPECT_EQ(history_.size(), 0u);
 }
 
-TEST_F(HistoryTest, MalformedLinesAreSkipped) {
+TEST_F(HistoryTest, DamagedRecordIsSkipped) {
+  bool added = false;
+  history_.Add(SignatureKind::kDeadlock, {Stack({"dmg1"}), Stack({"dmg2"})}, 3, &added);
+  history_.Add(SignatureKind::kDeadlock, {Stack({"dmg3"}), Stack({"dmg4"})}, 3, &added);
   const std::string path = TempPath();
+  ASSERT_TRUE(history_.Save(path));
+  std::string bytes;
   {
-    std::ofstream out(path);
-    out << "# dimmunix history v1\n";
-    out << "garbage line\n";
-    out << "sig kind=deadlock depth=3 disabled=0 avoided=0 aborts=0\n";
-    out << "stack ff aa\n";
-    out << "end\n";
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  ASSERT_TRUE(history_.Load(path));
-  EXPECT_EQ(history_.size(), 1u);
-  EXPECT_EQ(history_.Get(0).match_depth, 3);
-  std::remove(path.c_str());
+  bytes[bytes.size() - 2] ^= 0x08;  // inside the last record's payload
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  StackTable table2(10);
+  History loaded(&table2);
+  ASSERT_TRUE(loaded.Load(path));
+  EXPECT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.Get(0).match_depth, 3);
+  persist::RemoveHistoryFiles(path);
 }
 
 TEST_F(HistoryTest, SaveWritesFormatV2) {
@@ -162,50 +170,6 @@ TEST_F(HistoryTest, SaveWritesFormatV2) {
   char magic[4] = {};
   in.read(magic, 4);
   EXPECT_EQ(std::string(magic, 4), "DIMX");
-  persist::RemoveHistoryFiles(path);
-}
-
-TEST_F(HistoryTest, LegacyV1FileUpgradesOnResave) {
-  const std::string path = TempPath();
-  {
-    std::ofstream out(path);
-    out << "# dimmunix history v1\n";
-    out << "sig kind=deadlock depth=3 disabled=1 avoided=9 aborts=1\n";
-    out << "stack ff aa\n";
-    out << "stack 1b\n";
-    out << "end\n";
-  }
-  ASSERT_TRUE(history_.Load(path));
-  ASSERT_EQ(history_.size(), 1u);
-  EXPECT_TRUE(history_.Get(0).disabled);
-  EXPECT_EQ(history_.Get(0).avoidance_count, 9u);
-  // Saving re-encodes as v2; a fresh History loads it identically.
-  ASSERT_TRUE(history_.Save(path));
-  StackTable table2(10);
-  History reloaded(&table2);
-  ASSERT_TRUE(reloaded.Load(path));
-  ASSERT_EQ(reloaded.size(), 1u);
-  EXPECT_EQ(reloaded.Get(0).match_depth, 3);
-  EXPECT_EQ(reloaded.Get(0).avoidance_count, 9u);
-  persist::RemoveHistoryFiles(path);
-}
-
-TEST_F(HistoryTest, LoadReplaysJournalSidecar) {
-  bool added = false;
-  history_.Add(SignatureKind::kDeadlock, {Stack({"snap1"}), Stack({"snap2"})}, 4, &added);
-  const std::string path = TempPath();
-  ASSERT_TRUE(history_.Save(path));
-  // A crashed process left one extra signature only in the journal.
-  persist::SignatureRecord extra;
-  extra.match_depth = 2;
-  extra.stacks.push_back({0x111});
-  extra.stacks.push_back({0x222});
-  ASSERT_TRUE(persist::AppendJournalRecord(path, extra, /*fsync_after=*/false));
-
-  StackTable table2(10);
-  History loaded(&table2);
-  ASSERT_TRUE(loaded.Load(path));
-  EXPECT_EQ(loaded.size(), 2u);
   persist::RemoveHistoryFiles(path);
 }
 

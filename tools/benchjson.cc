@@ -17,7 +17,7 @@
 //   fig5     lock throughput vs. thread count, uninstrumented baseline vs.
 //            the engine with a 64-signature history;
 //   persist  the engine with and without a live history file (durable
-//            journaling/compaction must stay off the hot path);
+//            history writes must stay off the hot path);
 //   fig6     throughput as δin and δout grow (overhead is absorbed);
 //   fig7     throughput vs. history size at matching depth 4 and 8;
 //   fig9     false-positive yields vs. matching depth 1..10, plus the
@@ -248,7 +248,7 @@ BenchReport RunFig5(const Options& opts) {
 // --- persist: durable history off the hot path --------------------------------
 
 // `full` is the production engine; `full+persist` adds a live history file
-// with save-on-update and the async HistoryStore journaling/compacting.
+// with save-on-update and the async HistoryStore compacting.
 // History I/O is off the hot path, so it must track `full` within noise.
 // Aggregate: `full` at the highest thread count.
 BenchReport RunPersist(const Options& opts) {
@@ -285,7 +285,6 @@ BenchReport RunPersist(const Options& opts) {
     Config config = InstrumentedConfig();
     config.history_path = BenchJsonPath("persist") + ".hist";
     config.load_history_on_init = false;  // fresh file every run
-    config.journal_threshold = 8;
     persist::RemoveHistoryFiles(config.history_path);
     {
       Runtime rt(config);
