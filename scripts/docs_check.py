@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs lane: keep the documentation from silently rotting.
 
-Six checks, all cheap enough to run on every push:
+Seven checks, all cheap enough to run on every push:
 
 1. Link check — every relative markdown link in docs/*.md and README.md
    must point at a file that exists in the repo (anchors are stripped;
@@ -27,6 +27,11 @@ Six checks, all cheap enough to run on every push:
 6. Verb guard — every `history_tool <verb>` that README.md, docs/*.md or
    a workflow names must be a verb in history_tool's usage text. CMake
    `--target` lists (which name history_tool as a target) are skipped.
+7. Metric guard — every dimmunix_* metric name in README.md or docs/*.md
+   must be one `dimctl metrics` can emit: a "dimmunix_..." string literal
+   in src/, or dimmunix_<histogram> (a HistoName() in src/obs/recorder.cc)
+   with or without _bucket, _count or _sum. A name ending in `_` is a
+   prefix (`dimmunix_fleet_*`) and `_{a,b}_total` is expanded.
 
 Exit status is the number of violations (0 = clean).
 """
@@ -57,6 +62,11 @@ BENCH_ARG_RE = re.compile(r"--bench\s+([a-z][a-z0-9_]*)")
 # indented "history_tool <verb> ..." line per further verb.
 TOOL_USAGE_RE = re.compile(r"\"(?:usage: |\s+)history_tool ([a-z][a-z0-9-]*)")
 TOOL_VERB_RE = re.compile(r"\bhistory_tool[ \t]+([a-z][a-z0-9-]*)")
+
+METRIC_LITERAL_RE = re.compile(r"\"(dimmunix_[a-z0-9_]+)\"")
+HISTO_NAME_RE = re.compile(r"return \"([a-z0-9_]+)\";")
+# A metric mention: a name, optionally with a {a,b} expansion and a suffix.
+METRIC_MENTION_RE = re.compile(r"\b(dimmunix_[a-z0-9_]*)(?:\{([a-z0-9_,]+)\}([a-z0-9_]*))?")
 
 
 def strip_fenced_code(text: str) -> str:
@@ -222,6 +232,42 @@ def check_tool_verbs() -> list[str]:
     return errors
 
 
+def emittable_metrics() -> set[str]:
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*")):
+        if path.suffix in (".cc", ".h"):
+            names.update(METRIC_LITERAL_RE.findall(path.read_text(encoding="utf-8")))
+    recorder = (ROOT / "src" / "obs" / "recorder.cc").read_text(encoding="utf-8")
+    start = recorder.find("const char* HistoName(")
+    body = recorder[start : recorder.find("\n}", start)] if start >= 0 else ""
+    for histo in HISTO_NAME_RE.findall(body):
+        if histo == "unknown":
+            continue
+        for suffix in ("", "_bucket", "_count", "_sum"):
+            names.add(f"dimmunix_{histo}{suffix}")
+    return names
+
+
+def check_metric_names() -> list[str]:
+    known = emittable_metrics()
+    errors = []
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        mentioned = set()
+        for stem, alternatives, suffix in METRIC_MENTION_RE.findall(
+                path.read_text(encoding="utf-8")):
+            if alternatives:
+                mentioned.update(stem + alt + suffix for alt in alternatives.split(","))
+            else:
+                mentioned.add(stem)
+        for name in sorted(mentioned):
+            ok = (any(k.startswith(name) for k in known) if name.endswith("_")
+                  else name in known)
+            if not ok:
+                errors.append(f"{path.relative_to(ROOT)}: metric {name} is not one "
+                              "`dimctl metrics` can emit")
+    return errors
+
+
 def main() -> int:
     errors = []
     for md in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
@@ -231,12 +277,13 @@ def main() -> int:
     errors.extend(check_bench_reports())
     errors.extend(check_bench_names())
     errors.extend(check_tool_verbs())
+    errors.extend(check_metric_names())
     for err in errors:
         print(f"docs-check: {err}", file=sys.stderr)
     if not errors:
         print("docs-check: all links resolve, all subsystems and knobs documented, "
               "every BENCH report and --bench name is backed by benchjson, "
-              "every history_tool verb exists")
+              "every history_tool verb and dimmunix_* metric exists")
     return min(len(errors), 99)
 
 

@@ -506,11 +506,11 @@ std::string DoMetrics(Runtime& rt) {
                          "Foreign edges currently mirrored into the local RAG.",
                          s.foreign_edges_mirrored);
     obs::AppendPromCounter(&out, "dimmunix_ipc_flushes_total",
-                           "Pending-log drains into the arena.", s.flushes);
+                           "Edge flushes into the arena.", s.flushes);
     obs::AppendPromCounter(&out, "dimmunix_ipc_flush_ops_total",
-                           "Edge operations replayed by flushes.", s.flush_ops);
+                           "Arena row writes and frees made by flushes.", s.flush_ops);
     obs::AppendPromGauge(&out, "dimmunix_ipc_pending_ops",
-                         "Edge operations waiting in the pending log.", s.pending_ops);
+                         "Thread-lock pairs whose edges await the next flush.", s.pending_ops);
     obs::AppendPromCounter(&out, "dimmunix_global_id_cache_hits_total",
                            "Global-ID resolutions served from the per-thread cache.",
                            s.id_cache_hits);

@@ -14,9 +14,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 
-#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace dimmunix {
@@ -44,8 +42,8 @@ struct ParticipantRecord {
   std::uint64_t start_time;       // 0 while the claim is being initialized
   std::uint64_t generation;       // bumped on every (re)claim of this slot
   std::uint64_t heartbeat_ns;     // CLOCK_MONOTONIC, same clock fleet-wide
-  std::uint32_t proto_version;    // v2: protocol of the claimant (v1 pad: 0)
-  std::uint32_t flush_seq;        // v2: completed pending-log flushes
+  std::uint32_t proto_version;    // protocol of the claimant (kVersion)
+  std::uint32_t flush_seq;        // completed bridge flushes
   std::uint64_t pad[3];
 };
 static_assert(sizeof(ParticipantRecord) == 64);
@@ -59,9 +57,8 @@ struct EdgeRecord {
   std::uint32_t count;
   std::uint64_t lock;
   std::uint64_t frames[IpcArena::kMaxFrames];
-  // v2: the byte range of an fcntl record lock (v1 wrote frames 11/12 and
-  // pad here — readers trust these only when the publisher's participant
-  // slot says proto_version >= 2). range_group 0 = not a range lock.
+  // The byte range of an fcntl record lock; range_group 0 = not a range
+  // lock.
   std::uint64_t range_group;
   std::uint64_t range_start;
   std::uint64_t range_len;
@@ -190,11 +187,6 @@ std::uint64_t ProcessStartTime(std::uint32_t pid) {
   return start;
 }
 
-std::size_t IpcArena::KeyHash::operator()(const Key& k) const {
-  return static_cast<std::size_t>(
-      HashCombine(static_cast<std::uint64_t>(k.thread) + 0x51ed2701, k.lock));
-}
-
 void* IpcArena::HeaderPtr() const { return static_cast<char*>(base_) + kHeaderOff; }
 
 void* IpcArena::ParticipantPtr(int index) const {
@@ -273,11 +265,7 @@ std::unique_ptr<IpcArena> IpcArena::OpenOrCreate(const std::string& path, std::s
     ::munmap(base, kArenaSize);
     return fail(path + ": not a Dimmunix IPC arena (bad magic)");
   }
-  // v1 and v2 share the geometry byte-for-byte; accept both. (v1 binaries
-  // reject v2-created files — that asymmetry IS the version negotiation,
-  // see docs/ipc-arena.md.)
-  const std::uint16_t version = Ref(header->version).load(std::memory_order_relaxed);
-  if (version < kMinVersion || version > kVersion ||
+  if (Ref(header->version).load(std::memory_order_relaxed) != kVersion ||
       Ref(header->participants).load(std::memory_order_relaxed) != kParticipants ||
       Ref(header->edges_per_participant).load(std::memory_order_relaxed) !=
           kEdgesPerParticipant ||
@@ -343,9 +331,8 @@ IpcArena::~IpcArena() {
   if (self_index_ >= 0) {
     // Clean shutdown: retract our edges so peers do not need a liveness
     // sweep to learn the locks are free, then release the slot.
-    {
-      std::lock_guard<SpinLock> guard(local_m_);
-      ClearOwnEdgesLocked();
+    for (int e = 0; e < kEdgesPerParticipant; ++e) {
+      ScrubEdgeRow(static_cast<EdgeRecord*>(EdgePtr(self_index_, e)));
     }
     auto* p = static_cast<ParticipantRecord*>(ParticipantPtr(self_index_));
     Ref(p->seq).fetch_add(1, std::memory_order_relaxed);
@@ -359,22 +346,19 @@ IpcArena::~IpcArena() {
   ::munmap(base_, size_);
 }
 
-void IpcArena::ClearOwnEdgesLocked() {
-  for (const auto& [key, row] : rows_) {
-    FreeEdgeRow(row);
-    free_rows_.push_back(row);
+int IpcArena::AllocRow() {
+  if (free_rows_.empty()) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return -1;
   }
-  rows_.clear();
-  for (const auto& [key, row] : upgrade_rows_) {
-    FreeEdgeRow(row);
-    free_rows_.push_back(row);
-  }
-  upgrade_rows_.clear();
+  const int row = free_rows_.back();
+  free_rows_.pop_back();
+  return row;
 }
 
-void IpcArena::WriteEdgeRow(int row, ThreadId thread, LockId lock, bool hold, AcquireMode mode,
-                            std::uint32_t count, const std::vector<Frame>& frames,
-                            const LockRange& range) {
+void IpcArena::WriteRow(int row, ThreadId thread, LockId lock, bool hold, AcquireMode mode,
+                        std::uint32_t count, const std::vector<Frame>& frames,
+                        const LockRange& range) {
   auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, row));
   Ref(r->seq).fetch_add(1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
@@ -395,144 +379,9 @@ void IpcArena::WriteEdgeRow(int row, ThreadId thread, LockId lock, bool hold, Ac
   Ref(r->seq).fetch_add(1, std::memory_order_release);
 }
 
-void IpcArena::FreeEdgeRow(int row) {
-  auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, row));
-  Ref(r->seq).fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  Ref(r->state).store(kEdgeFree, std::memory_order_relaxed);
-  Ref(r->count).store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  Ref(r->seq).fetch_add(1, std::memory_order_release);
-}
-
-void IpcArena::PublishWait(ThreadId thread, LockId lock, AcquireMode mode,
-                           const std::vector<Frame>& frames, const LockRange& range) {
-  std::lock_guard<SpinLock> guard(local_m_);
-  const Key key{thread, lock};
-  auto it = rows_.find(key);
-  int row = -1;
-  if (it != rows_.end()) {
-    row = it->second;
-    auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, row));
-    if (Ref(r->state).load(std::memory_order_relaxed) == kEdgeHold) {
-      // Upgrade request over our own standing hold (shared -> exclusive):
-      // the hold row must stay visible — losing it would hide a held lock
-      // from the fleet — so the wait gets a row of its own. Peers then
-      // mirror this thread as simultaneously holding (shared) and waiting
-      // (exclusive), the exact shape that makes upgrade-upgrade cycles
-      // across processes detectable.
-      auto up = upgrade_rows_.find(key);
-      if (up != upgrade_rows_.end()) {
-        row = up->second;  // re-publish (retry with a different stack/mode)
-      } else if (!free_rows_.empty()) {
-        row = free_rows_.back();
-        free_rows_.pop_back();
-        upgrade_rows_.emplace(key, row);
-      } else {
-        ++dropped_;
-        return;
-      }
-    }
-  } else if (!free_rows_.empty()) {
-    row = free_rows_.back();
-    free_rows_.pop_back();
-    rows_.emplace(key, row);
-  } else {
-    ++dropped_;
-    return;
-  }
-  WriteEdgeRow(row, thread, lock, /*hold=*/false, mode, 0, frames, range);
-}
-
-void IpcArena::ClearWait(ThreadId thread, LockId lock) {
-  std::lock_guard<SpinLock> guard(local_m_);
-  // A withdrawn upgrade (cancel / timeout / broken) retracts only the wait
-  // row; the underlying shared hold stays published.
-  if (auto up = upgrade_rows_.find(Key{thread, lock}); up != upgrade_rows_.end()) {
-    FreeEdgeRow(up->second);
-    free_rows_.push_back(up->second);
-    upgrade_rows_.erase(up);
-    return;
-  }
-  auto it = rows_.find(Key{thread, lock});
-  if (it == rows_.end()) {
-    return;
-  }
-  auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, it->second));
-  if (Ref(r->state).load(std::memory_order_relaxed) != kEdgeWait) {
-    return;  // already promoted to a hold; nothing to retract
-  }
-  FreeEdgeRow(it->second);
-  free_rows_.push_back(it->second);
-  rows_.erase(it);
-}
-
-void IpcArena::PublishHold(ThreadId thread, LockId lock, AcquireMode mode,
-                           const std::vector<Frame>& frames, const LockRange& range) {
-  std::lock_guard<SpinLock> guard(local_m_);
-  const Key key{thread, lock};
-  // A committed upgrade ends its wait: free the distinct wait row before
-  // rewriting the main row as the (now exclusive) hold.
-  if (auto up = upgrade_rows_.find(key); up != upgrade_rows_.end()) {
-    FreeEdgeRow(up->second);
-    free_rows_.push_back(up->second);
-    upgrade_rows_.erase(up);
-  }
-  auto it = rows_.find(key);
-  int row = -1;
-  std::uint32_t count = 1;
-  if (it != rows_.end()) {
-    row = it->second;
-    auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, row));
-    if (Ref(r->state).load(std::memory_order_relaxed) == kEdgeHold) {
-      count = Ref(r->count).load(std::memory_order_relaxed) + 1;  // reentrant
-    }
-  } else if (!free_rows_.empty()) {
-    row = free_rows_.back();
-    free_rows_.pop_back();
-    rows_.emplace(key, row);
-  } else {
-    ++dropped_;
-    return;
-  }
-  WriteEdgeRow(row, thread, lock, /*hold=*/true, mode, count, frames, range);
-}
-
-void IpcArena::ClearHold(ThreadId thread, LockId lock) {
-  std::lock_guard<SpinLock> guard(local_m_);
-  auto it = rows_.find(Key{thread, lock});
-  if (it == rows_.end()) {
-    return;
-  }
-  auto* r = static_cast<EdgeRecord*>(EdgePtr(self_index_, it->second));
-  if (Ref(r->state).load(std::memory_order_relaxed) == kEdgeHold) {
-    const std::uint32_t count = Ref(r->count).load(std::memory_order_relaxed);
-    if (count > 1) {
-      // Reentrant release: publish the decremented count, keep the row.
-      Ref(r->seq).fetch_add(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      Ref(r->count).store(count - 1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_release);
-      Ref(r->seq).fetch_add(1, std::memory_order_release);
-      return;
-    }
-  }
-  // Defensive: a hold fully released while its upgrade wait row still
-  // stands must not leak that row (the engine retracts the wait before the
-  // hold on every path, so this is belt-and-braces).
-  if (auto up = upgrade_rows_.find(Key{thread, lock}); up != upgrade_rows_.end()) {
-    FreeEdgeRow(up->second);
-    free_rows_.push_back(up->second);
-    upgrade_rows_.erase(up);
-  }
-  FreeEdgeRow(it->second);
-  free_rows_.push_back(it->second);
-  rows_.erase(it);
-}
-
-std::uint64_t IpcArena::dropped_publishes() const {
-  std::lock_guard<SpinLock> guard(local_m_);
-  return dropped_;
+void IpcArena::FreeRow(int row) {
+  ScrubEdgeRow(static_cast<EdgeRecord*>(EdgePtr(self_index_, row)));
+  free_rows_.push_back(row);
 }
 
 void IpcArena::Heartbeat() {
@@ -558,10 +407,6 @@ std::vector<ForeignEdge> IpcArena::SnapshotForeign() const {
     if (pid == 0 || start == 0) {
       continue;  // free, or claim still being initialized
     }
-    // A v1 participant's rows have stack material where v2 keeps the range
-    // triple; never interpret it as a range.
-    const bool trust_ranges =
-        Ref(p->proto_version).load(std::memory_order_relaxed) >= 2;
     for (int e = 0; e < kEdgesPerParticipant; ++e) {
       ForeignEdge edge;
       if (!ReadEdgeRow(static_cast<const EdgeRecord*>(EdgePtr(i, e)), &edge)) {
@@ -570,9 +415,6 @@ std::vector<ForeignEdge> IpcArena::SnapshotForeign() const {
       edge.participant = i;
       edge.generation = generation;
       edge.pid = pid;
-      if (!trust_ranges) {
-        edge.range = LockRange{};
-      }
       edges.push_back(std::move(edge));
     }
   }

@@ -17,7 +17,9 @@
 //
 // Concurrency model:
 //   * Each participant writes ONLY its own participant slot and edge rows;
-//     there is no cross-process write contention on the hot path.
+//     there is no cross-process write contention on the hot path. Which
+//     (thread, lock) edge a row shows is the bridge's business: the arena
+//     only allocates, writes and frees rows (src/ipc/bridge.h).
 //   * Every mutable record is seqlock-published (odd seq = write in
 //     progress); readers copy and retry, so a reader can never observe a
 //     torn edge. Field accesses go through std::atomic_ref, which keeps the
@@ -37,13 +39,12 @@
 #ifndef DIMMUNIX_IPC_ARENA_H_
 #define DIMMUNIX_IPC_ARENA_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/spin_lock.h"
 #include "src/core/global_port.h"
 
 namespace dimmunix {
@@ -59,8 +60,7 @@ struct ForeignEdge {
   bool hold = false;  // false: wait (request/allow) edge
   AcquireMode mode = AcquireMode::kExclusive;
   std::uint32_t count = 0;  // reentrant hold depth (holds only)
-  LockRange range;  // byte range for fcntl record locks (group 0 = none);
-                    // zeroed unless the publishing slot speaks protocol >= 2
+  LockRange range;  // byte range for fcntl record locks (group 0 = none)
   std::vector<Frame> frames;  // proc-qualified stack, innermost first
 };
 
@@ -72,8 +72,8 @@ struct ParticipantInfo {
   std::uint64_t start_time = 0;
   std::int64_t heartbeat_age_ms = -1;
   std::size_t edges = 0;
-  std::uint32_t proto_version = 0;  // 0/1 = a v1 participant (no range data)
-  std::uint32_t flush_seq = 0;      // completed pending-log flushes
+  std::uint32_t proto_version = 0;
+  std::uint32_t flush_seq = 0;      // completed bridge flushes
   bool alive = false;
   bool self = false;
 };
@@ -81,12 +81,10 @@ struct ParticipantInfo {
 class IpcArena {
  public:
   static constexpr std::uint32_t kMagic = 0x414D4944;  // "DIMA" little-endian
-  // Protocol v2 (docs/ipc-arena.md): same geometry as v1, but edge rows
-  // carry an fcntl byte range in what used to be frames[10..11]+pad, and
-  // participant slots publish proto_version + flush_seq in former pad
-  // words. Openers accept v1 files unchanged; creators write v2.
+  // Protocol v2 (docs/ipc-arena.md): edge rows carry an fcntl byte range,
+  // participant slots publish proto_version + flush_seq. Openers accept
+  // only this version.
   static constexpr std::uint16_t kVersion = 2;
-  static constexpr std::uint16_t kMinVersion = 1;
   static constexpr int kParticipants = 64;
   static constexpr int kEdgesPerParticipant = 128;
   static constexpr int kMaxFrames = 10;
@@ -106,25 +104,23 @@ class IpcArena {
   std::uint64_t generation() const { return self_generation_; }
   const std::string& path() const { return path_; }
 
-  // --- Local publishing (application threads; global locks only) -----------
-  // One logical edge per (thread, lock); a hold published over a standing
-  // wait reuses the row. Exception: a wait published over a standing hold —
-  // a shared->exclusive upgrade — takes a SECOND row, so peers see both the
-  // hold and the wait and can detect upgrade-upgrade cycles. Publishing is
-  // drop-on-overflow: when all edge rows are in use the edge is counted in
-  // dropped_publishes() and skipped — avoidance degrades to single-process
-  // behavior, never blocks.
-  void PublishWait(ThreadId thread, LockId lock, AcquireMode mode,
-                   const std::vector<Frame>& frames, const LockRange& range = {});
-  void ClearWait(ThreadId thread, LockId lock);
-  void PublishHold(ThreadId thread, LockId lock, AcquireMode mode,
-                   const std::vector<Frame>& frames, const LockRange& range = {});
-  void ClearHold(ThreadId thread, LockId lock);
+  // --- Row API (the bridge's flusher; callers serialize these calls) --------
+  // This participant's kEdgesPerParticipant edge rows. The arena does not
+  // know which (thread, lock) a row shows: the bridge decides that
+  // (src/ipc/bridge.h). AllocRow is drop-on-overflow: with every row in use
+  // it returns -1 and counts the edge in dropped_publishes() — avoidance
+  // degrades to single-process behavior, never blocks.
+  int AllocRow();
+  // Publishes one edge into `row` under its seqlock.
+  void WriteRow(int row, ThreadId thread, LockId lock, bool hold, AcquireMode mode,
+                std::uint32_t count, const std::vector<Frame>& frames, const LockRange& range);
+  // Unpublishes `row` and returns it to the free list.
+  void FreeRow(int row);
 
-  std::uint64_t dropped_publishes() const;
+  std::uint64_t dropped_publishes() const { return dropped_.load(std::memory_order_relaxed); }
 
-  // Bumps this participant's published flush_seq (one completed drain of
-  // the bridge's pending op-log; protocol v2 observability).
+  // Bumps this participant's published flush_seq (one completed bridge
+  // flush; protocol v2 observability).
   void BumpFlushSeq();
 
   // --- Reading (bridge thread, control plane) -------------------------------
@@ -142,28 +138,12 @@ class IpcArena {
  private:
   IpcArena(std::string path, void* base, std::size_t size);
 
-  struct Key {
-    ThreadId thread;
-    LockId lock;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-
   // Row accessors into the mapping.
   void* HeaderPtr() const;
   void* ParticipantPtr(int index) const;
   void* EdgePtr(int participant, int index) const;
 
   bool Claim(std::string* error);
-  void ClearOwnEdgesLocked();
-
-  // Publishes `hold`/`mode`/`frames`/`range` into row `row` under its seqlock.
-  void WriteEdgeRow(int row, ThreadId thread, LockId lock, bool hold, AcquireMode mode,
-                    std::uint32_t count, const std::vector<Frame>& frames,
-                    const LockRange& range);
-  void FreeEdgeRow(int row);
 
   const std::string path_;
   void* base_ = nullptr;
@@ -171,16 +151,8 @@ class IpcArena {
   int self_index_ = -1;
   std::uint64_t self_generation_ = 0;
 
-  // Process-local index of this participant's published edges.
-  mutable SpinLock local_m_;
-  std::unordered_map<Key, int, KeyHash> rows_;  // (thread, lock) -> edge row
-  // Distinct wait rows for shared->exclusive upgrades: when (thread, lock)
-  // already has a hold row, its upgrade's wait edge gets a second row here
-  // so the hold stays visible while the wait is published. Freed when the
-  // upgrade commits (PublishHold) or is withdrawn (ClearWait).
-  std::unordered_map<Key, int, KeyHash> upgrade_rows_;
-  std::vector<int> free_rows_;
-  std::uint64_t dropped_ = 0;
+  std::vector<int> free_rows_;  // serialized by the row API's caller
+  std::atomic<std::uint64_t> dropped_{0};
 };
 
 // Liveness probe shared with tests: the start time (clock ticks since boot,

@@ -25,7 +25,7 @@ std::size_t IpcBridge::ThreadKeyHash::operator()(const ThreadKey& k) const {
   return static_cast<std::size_t>(h);
 }
 
-std::size_t IpcBridge::PendingKeyHash::operator()(const PendingKey& k) const {
+std::size_t IpcBridge::LocalKeyHash::operator()(const LocalKey& k) const {
   return static_cast<std::size_t>(HashCombine(static_cast<std::uint64_t>(k.thread), k.lock));
 }
 
@@ -78,13 +78,15 @@ void IpcBridge::Stop() {
     RetireEdge(key, m);
   }
   mirrored_.clear();
-  // Discard any undrained pending ops: the arena destructor clears this
-  // participant's rows wholesale anyway, so replaying them would only
+  // Discard the edge states: the arena destructor clears this
+  // participant's rows wholesale anyway, so flushing them would only
   // publish edges about to be scrubbed.
   {
+    std::lock_guard<SpinLock> flush_guard(flush_m_);
     std::lock_guard<SpinLock> guard(pending_m_);
-    pending_.clear();
-    pending_ops_ = 0;
+    states_.clear();
+    queued_.clear();
+    differing_ = 0;
   }
   arena_.reset();  // clears own rows + releases the participant slot
 }
@@ -94,7 +96,7 @@ void IpcBridge::Loop() {
     recorder_->NameThisThread("dimmunix-bridge");
   }
   // Two cadences on one thread: the mirror pass every `period`, the
-  // pending-log drain every kFlushPeriod (usually much shorter). Wake at the
+  // flush every kFlushPeriod (usually much shorter). Wake at the
   // faster of the two; run a full Tick only when the mirror deadline has
   // passed, a bare FlushPending otherwise.
   const auto wake = std::min<std::chrono::steady_clock::duration>(kFlushPeriod, options_.period);
@@ -132,8 +134,8 @@ void IpcBridge::RetireEdge(const EdgeKey& key, const Mirrored& m) {
 }
 
 void IpcBridge::Tick() {
-  // Drain own pending ops first: a mirror pass should never run with this
-  // process's publications staler than one flush interval.
+  // Flush first: a mirror pass should never run with this process's
+  // publications staler than one flush interval.
   FlushPending();
   const std::uint64_t tick_begin =
       recorder_ != nullptr && recorder_->tracing() ? obs::NowNs() : 0;
@@ -251,7 +253,7 @@ IpcStatus IpcBridge::SnapshotStatus() const {
   status.flush_ops = flush_ops_total_.load(std::memory_order_relaxed);
   {
     std::lock_guard<SpinLock> guard(pending_m_);
-    status.pending_ops = pending_ops_;
+    status.pending_ops = differing_;
   }
   {
     std::lock_guard<std::mutex> guard(status_m_);
@@ -265,192 +267,144 @@ IpcStatus IpcBridge::SnapshotStatus() const {
 
 Frame IpcBridge::ProcFrame() const { return ProcessIdentityFrame(); }
 
-void IpcBridge::Append(ThreadId thread, LockId lock, OpKind kind, StackId stack,
-                       AcquireMode mode) {
-  bool overflow = false;
-  {
-    std::lock_guard<SpinLock> guard(pending_m_);
-    PendingEntry& entry = pending_[PendingKey{thread, lock}];
-    std::vector<PendingOp>& ops = entry.ops;
-    // Coalesce against the trailing op of the same (thread, lock). The net
-    // effect on the arena row is all that matters, so:
-    //   Wait over trailing Wait         -> replace (mode/stack refresh)
-    //   Hold over trailing Wait         -> replace (the commit subsumes the
-    //                                      request; replay is one PublishHold,
-    //                                      which bumps the hold count exactly
-    //                                      like the eager wait+hold pair)
-    //   ClearWait popping trailing Wait -> both vanish (canceled request)
-    //   ClearHold popping trailing Hold -> both vanish (uncontended critical
-    //                                      section: zero arena writes)
-    // Popping to an EMPTY log is only a true no-op when the arena holds no
-    // row for this key. If an earlier flush already published a wait, the
-    // popped pair was the very thing that would have cleared (ClearWait) or
-    // replaced (the grant's PublishHold) that row — so a compensating
-    // ClearWait is enqueued in its place; the arena-row shadow in the entry
-    // says when. (A standing hold row needs no compensation here: the
-    // popped Hold/ClearHold pair nets to zero on its reentrant count.)
-    const auto reconcile_flushed_wait = [&] {
-      if (ops.empty() && entry.arena_wait) {
-        ops.push_back(
-            PendingOp{OpKind::kClearWait, kInvalidStackId, AcquireMode::kExclusive});
-        ++pending_ops_;
-      }
-    };
-    switch (kind) {
-      case OpKind::kWait:
-      case OpKind::kHold:
-        if (!ops.empty() && ops.back().kind == OpKind::kWait) {
-          ops.back() = PendingOp{kind, stack, mode};
-        } else {
-          ops.push_back(PendingOp{kind, stack, mode});
-          ++pending_ops_;
-        }
-        break;
-      case OpKind::kClearWait:
-        if (!ops.empty() && ops.back().kind == OpKind::kWait) {
-          ops.pop_back();
-          --pending_ops_;
-          reconcile_flushed_wait();
-        } else {
-          ops.push_back(PendingOp{kind, stack, mode});
-          ++pending_ops_;
-        }
-        break;
-      case OpKind::kClearHold:
-        if (!ops.empty() && ops.back().kind == OpKind::kHold) {
-          ops.pop_back();
-          --pending_ops_;
-          reconcile_flushed_wait();
-        } else {
-          ops.push_back(PendingOp{kind, stack, mode});
-          ++pending_ops_;
-        }
-        break;
+template <typename Apply>
+void IpcBridge::Update(ThreadId thread, LockId lock, Apply apply) {
+  std::lock_guard<SpinLock> guard(pending_m_);
+  auto [it, inserted] = states_.try_emplace(LocalKey{thread, lock});
+  EdgeState& state = it->second;
+  if (inserted) {
+    state.thread = thread;
+    state.lock = lock;
+  }
+  const bool differed = state.want != state.shown;
+  apply(state.want);
+  const bool differs = state.want != state.shown;
+  if (differs && !state.queued) {
+    state.queued = true;
+    queued_.push_back(&state);
+  }
+  differing_ = differing_ + differs - differed;
+}
+
+void IpcBridge::PublishWait(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
+  Update(thread, lock, [&](Edges& edges) { edges.wait = Edge{true, mode, stack, 0}; });
+}
+
+void IpcBridge::ClearWait(ThreadId thread, LockId lock) {
+  Update(thread, lock, [](Edges& edges) { edges.wait = Edge{}; });
+}
+
+void IpcBridge::PublishHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
+  // The commit ends the request; a reentrant one deepens the standing hold.
+  Update(thread, lock, [&](Edges& edges) {
+    edges.hold = Edge{true, mode, stack, edges.hold.count + 1};
+    edges.wait = Edge{};
+  });
+}
+
+void IpcBridge::ClearHold(ThreadId thread, LockId lock) {
+  // A reentrant release keeps the hold one level shallower; the final one
+  // clears the key (and any request still standing on it).
+  Update(thread, lock, [](Edges& edges) {
+    if (edges.hold.count > 1) {
+      --edges.hold.count;
+    } else {
+      edges = Edges{};
     }
-    // Emptied keys stay in the map: the next op on the same (thread, lock)
-    // reuses the node and the vector's capacity instead of re-allocating —
-    // and the arena-row shadow must outlive the ops it was advanced by.
-    overflow = pending_ops_ >= kPendingFlushCap;
+  });
+}
+
+void IpcBridge::SyncRow(const EdgeState& state, int* row, const Edge& was, const Edge& want,
+                        bool hold, FlushTally* tally) {
+  if (want == was) {
+    return;  // unchanged — or dropped, and unchanged since
   }
-  if (overflow) {
-    FlushPending();
+  if (!want.present) {
+    if (*row >= 0) {
+      arena_->FreeRow(*row);
+      *row = -1;
+      ++tally->frees;
+    }
+    return;
   }
+  if (*row < 0 && (*row = arena_->AllocRow()) < 0) {
+    return;  // arena full: counted as dropped, unpublished until it changes
+  }
+  arena_->WriteRow(*row, state.thread, state.lock, hold, want.mode, want.count,
+                   stacks_->Get(want.stack).frames, LookupLockRange(state.lock));
+  ++tally->writes;
 }
 
 void IpcBridge::FlushPending() {
-  // Peek without the flush lock: the common case (timer fired, nothing
-  // pending) must cost two spinlock-free-ish operations, not a full drain
-  // protocol.
+  // Peek without the flush lock: the common case (timer fired, every key
+  // published) must cost one uncontended spin lock, not a reconcile pass.
   {
     std::lock_guard<SpinLock> guard(pending_m_);
-    // pending_ may hold emptied-but-kept keys; the op counter is the truth.
-    if (pending_ops_ == 0) {
+    if (differing_ == 0) {
       return;
     }
   }
   const bool timing = recorder_ != nullptr && recorder_->timing();
   const std::uint64_t begin_ns = timing ? obs::NowNs() : 0;
-  std::uint64_t ops_drained = 0;
-  std::uint64_t rows_written = 0;
+  std::uint64_t keys = 0;
+  FlushTally tally;
   {
-    // flush_m_ before detaching: a racing flusher that detached first could
-    // otherwise replay a NEWER batch of some key's ops before ours. It also
-    // guards flush_scratch_, which is reused across flushes so the steady
-    // state drains with zero allocations (map nodes, per-key vector capacity
-    // and the scratch buffer all persist).
+    // flush_m_ serializes flushers end to end, and each reads a key's
+    // desired state at the moment it reconciles that key: a later flusher
+    // always reads a state at least as new, so no flusher can publish an
+    // older state over a newer one.
     std::lock_guard<SpinLock> flush_guard(flush_m_);
     {
       std::lock_guard<SpinLock> guard(pending_m_);
-      for (auto& [key, entry] : pending_) {
-        for (const PendingOp& op : entry.ops) {
-          flush_scratch_.emplace_back(key, op);
-          // Advance the arena-row shadow at staging time, not at the actual
-          // arena write below (which runs under flush_m_ only): an Append
-          // racing the replay lands in a later batch that flush_m_ orders
-          // strictly after this one, so a compensating ClearWait it decides
-          // to enqueue can never be replayed ahead of these ops.
-          switch (op.kind) {
-            case OpKind::kWait:
-              entry.arena_wait = true;
-              break;
-            case OpKind::kClearWait:
-              entry.arena_wait = false;
-              break;
-            case OpKind::kHold:
-              // PublishHold frees any standing wait/upgrade row.
-              entry.arena_wait = false;
-              ++entry.arena_holds;
-              break;
-            case OpKind::kClearHold:
-              if (entry.arena_holds > 0) {
-                --entry.arena_holds;
-              }
-              if (entry.arena_holds == 0) {
-                // Freeing the last hold frees the (defensive) upgrade wait
-                // row too; on a wait-state row ClearHold frees it outright.
-                entry.arena_wait = false;
-              }
-              break;
-          }
+      flushing_.swap(queued_);
+    }
+    for (EdgeState* state : flushing_) {
+      Edges was;
+      Edges want;
+      {
+        std::lock_guard<SpinLock> guard(pending_m_);
+        state->queued = false;
+        if (state->want == state->shown) {
+          continue;  // returned to its published state since it was queued
         }
-        entry.ops.clear();
+        was = state->shown;
+        want = state->want;
+        state->shown = want;
+        --differing_;
       }
-      pending_ops_ = 0;
-    }
-    for (const auto& [key, op] : flush_scratch_) {
-      switch (op.kind) {
-        case OpKind::kWait:
-          arena_->PublishWait(key.thread, key.lock, op.mode, stacks_->Get(op.stack).frames,
-                              LookupLockRange(key.lock));
-          ++rows_written;
-          break;
-        case OpKind::kClearWait:
-          arena_->ClearWait(key.thread, key.lock);
-          break;
-        case OpKind::kHold:
-          arena_->PublishHold(key.thread, key.lock, op.mode, stacks_->Get(op.stack).frames,
-                              LookupLockRange(key.lock));
-          ++rows_written;
-          break;
-        case OpKind::kClearHold:
-          arena_->ClearHold(key.thread, key.lock);
-          break;
+      ++keys;
+      // One edge kind leaving as the other arrives (a grant ending its
+      // wait, a new request right after the final release) hands its row
+      // over: one seqlock write, so a peer never sees the lock unclaimed
+      // in between.
+      if (was.wait.present != want.wait.present && was.hold.present != want.hold.present &&
+          want.wait.present != want.hold.present) {
+        std::swap(state->wait_row, state->hold_row);
+        std::swap(was.wait, was.hold);
       }
-      ++ops_drained;
+      SyncRow(*state, &state->hold_row, was.hold, want.hold, /*hold=*/true, &tally);
+      SyncRow(*state, &state->wait_row, was.wait, want.wait, /*hold=*/false, &tally);
     }
-    flush_scratch_.clear();
-    if (ops_drained > 0) {
+    flushing_.clear();
+    if (tally.writes + tally.frees > 0) {
       arena_->BumpFlushSeq();
     }
   }
+  if (keys == 0) {
+    return;  // every queued key netted out before this flusher reached it
+  }
+  const std::uint64_t ops = tally.writes + tally.frees;
   flush_count_.fetch_add(1, std::memory_order_relaxed);
-  flush_ops_total_.fetch_add(ops_drained, std::memory_order_relaxed);
+  flush_ops_total_.fetch_add(ops, std::memory_order_relaxed);
   if (timing) {
     const std::uint64_t end_ns = obs::NowNs();
     recorder_->Latency(obs::HistoKind::kIpcFlush, end_ns - begin_ns);
-    // The span's aux field is 16 bits; saturate instead of wrapping for
-    // pathological drains (long timer stalls across many keys).
+    // The span's aux field is 16 bits; saturate instead of wrapping.
     const auto aux_rows =
-        static_cast<std::uint16_t>(std::min<std::uint64_t>(rows_written, 0xFFFF));
+        static_cast<std::uint16_t>(std::min<std::uint64_t>(tally.writes, 0xFFFF));
     recorder_->Span(obs::TraceEventType::kIpcFlush, end_ns, end_ns - begin_ns, aux_rows,
-                    /*mode=*/0, ops_drained);
+                    /*mode=*/0, ops);
   }
-}
-
-void IpcBridge::PublishWait(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
-  Append(thread, lock, OpKind::kWait, stack, mode);
-}
-
-void IpcBridge::ClearWait(ThreadId thread, LockId lock) {
-  Append(thread, lock, OpKind::kClearWait, kInvalidStackId, AcquireMode::kExclusive);
-}
-
-void IpcBridge::PublishHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) {
-  Append(thread, lock, OpKind::kHold, stack, mode);
-}
-
-void IpcBridge::ClearHold(ThreadId thread, LockId lock) {
-  Append(thread, lock, OpKind::kClearHold, kInvalidStackId, AcquireMode::kExclusive);
 }
 
 }  // namespace ipc

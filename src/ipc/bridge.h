@@ -4,14 +4,17 @@
 // shared-memory arena (src/ipc/arena.h). It plays both directions:
 //
 //   publisher (application threads, via the engine's global-lock port):
-//     wait/hold transitions of global locks are *logged* into a per-process
-//     pending op-log (a SpinLock'd map, no arena traffic) and drained to
-//     this process's arena rows in batches — on contention (the engine
-//     flushes before parking), on a fixed 2 ms flush timer
-//     (kFlushPeriod), or when the backlog crosses a cap. Uncontended acquire/release pairs coalesce
-//     to nothing, so the uncontended global fast path never touches the
-//     arena. The price is a publication lag bounded by one flush epoch;
-//     docs/ipc-arena.md states the resulting detectability bound.
+//     wait/hold transitions of global locks update one EdgeState per
+//     (thread, lock) — the edges it should show now — under a spin lock,
+//     with no arena traffic. A flush reconciles every key whose desired
+//     edges differ from the published ones: it frees, allocates and
+//     rewrites this process's arena rows until they show the desired
+//     state. Flushes run on contention (the engine flushes before parking)
+//     and on a fixed 2 ms timer (kFlushPeriod). An uncontended
+//     acquire/release returns its key to the published state, so the
+//     uncontended global fast path never touches the arena. The price is a
+//     publication lag bounded by one flush epoch; docs/ipc-arena.md states
+//     the resulting detectability bound.
 //
 //   mirror (the bridge thread): every `period`, foreign participants' rows
 //     are snapshot, diffed against the previously mirrored set, and the
@@ -60,9 +63,9 @@ struct IpcStatus {
   std::uint64_t foreign_edges_mirrored = 0;  // currently mirrored foreign edges
   std::uint64_t participants_reclaimed = 0;
   std::uint64_t dropped_publishes = 0;
-  std::uint64_t flushes = 0;           // completed pending-log drains
-  std::uint64_t flush_ops = 0;         // ops replayed across all drains
-  std::uint64_t pending_ops = 0;       // ops waiting in the log right now
+  std::uint64_t flushes = 0;           // flushes that had keys to reconcile
+  std::uint64_t flush_ops = 0;         // arena row writes + frees across all flushes
+  std::uint64_t pending_ops = 0;       // keys whose desired edges are unpublished now
   std::uint64_t id_cache_hits = 0;     // global-ID cache (src/ipc/global_id.h)
   std::uint64_t id_cache_misses = 0;
   std::vector<ParticipantInfo> participants;
@@ -114,17 +117,15 @@ class IpcBridge : public GlobalEdgePublisher {
   void ClearWait(ThreadId thread, LockId lock) override;
   void PublishHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode) override;
   void ClearHold(ThreadId thread, LockId lock) override;
-  // Drains the pending op-log into the arena. Safe from any thread; the
-  // engine calls it right before parking a global-lock waiter so a forming
-  // cross-process cycle becomes arena-visible without waiting for the
-  // timer. No-op when the log is empty.
+  // Reconciles this process's arena rows with the desired edge states.
+  // Safe from any thread; the engine calls it right before parking a
+  // global-lock waiter so a forming cross-process cycle becomes
+  // arena-visible without waiting for the timer. No-op when every key is
+  // published.
   void FlushPending() override;
 
-  // Backlog size that triggers an inline flush from the publishing thread.
-  static constexpr std::size_t kPendingFlushCap = 512;
-  // Pending-log drain cadence. The engine additionally flushes before
-  // parking and the log self-flushes past kPendingFlushCap, so this timer
-  // only bounds how long an *uncontended* edge stays unpublished.
+  // Flush cadence. The engine additionally flushes before parking, so this
+  // timer only bounds how long an *uncontended* edge stays unpublished.
   static constexpr std::chrono::microseconds kFlushPeriod{2000};
 
  private:
@@ -159,40 +160,54 @@ class IpcBridge : public GlobalEdgePublisher {
     std::size_t operator()(const ThreadKey& k) const;
   };
 
-  // --- Pending op-log (deferred publication, protocol v2) -------------------
-  // Application threads append; any thread drains via FlushPending(). Both
-  // locks are spin locks: publisher calls run inside interposed lock
+  // --- Deferred publication (protocol v2) -----------------------------------
+  // Both locks are spin locks: publisher calls run inside interposed lock
   // operations under LD_PRELOAD, where a pthread mutex would recurse into
-  // the engine. Lock order: flush_m_ -> pending_m_; appends take only
+  // the engine. Lock order: flush_m_ -> pending_m_; publishers take only
   // pending_m_.
-  enum class OpKind : std::uint8_t { kWait, kClearWait, kHold, kClearHold };
-  struct PendingOp {
-    OpKind kind;
-    StackId stack;  // kInvalidStackId for clears
-    AcquireMode mode;
+  struct Edge {
+    bool present = false;
+    AcquireMode mode = AcquireMode::kExclusive;
+    StackId stack = kInvalidStackId;
+    std::uint32_t count = 0;  // reentrant hold depth; 0 for a wait
+    bool operator==(const Edge&) const = default;
   };
-  struct PendingKey {
+  // The edges one (thread, lock) shows. A key with both is a thread that
+  // requests a lock it holds (reentrantly, or as a shared->exclusive
+  // upgrade): two rows, so peers can detect upgrade-upgrade cycles.
+  struct Edges {
+    Edge wait;
+    Edge hold;
+    bool operator==(const Edges&) const = default;
+  };
+  struct EdgeState {
+    ThreadId thread = kInvalidThreadId;
+    LockId lock = kInvalidLockId;
+    Edges want;            // desired (pending_m_)
+    Edges shown;           // published by the last flush (pending_m_)
+    bool queued = false;   // listed in queued_ (pending_m_)
+    int wait_row = -1;     // arena rows, -1 = none or dropped (flush_m_)
+    int hold_row = -1;
+  };
+  struct LocalKey {
     ThreadId thread;
     LockId lock;
-    bool operator==(const PendingKey&) const = default;
+    bool operator==(const LocalKey&) const = default;
   };
-  struct PendingKeyHash {
-    std::size_t operator()(const PendingKey& k) const;
-  };
-  struct PendingEntry {
-    std::vector<PendingOp> ops;
-    // Arena-row shadow, advanced as ops are staged for replay: whether the
-    // arena currently shows a wait row for this key and how many published
-    // holds stand. Append consults it so pop-coalescing never nets the log
-    // to nothing while a flushed wait row is still standing — without it,
-    // a Wait flushed early (pre-park contention flush, epoch timer, backlog
-    // cap) followed by an in-log Hold/ClearHold annihilation would leave
-    // peers mirroring a phantom waiter forever.
-    bool arena_wait = false;
-    std::uint32_t arena_holds = 0;
+  struct LocalKeyHash {
+    std::size_t operator()(const LocalKey& k) const;
   };
 
-  void Append(ThreadId thread, LockId lock, OpKind kind, StackId stack, AcquireMode mode);
+  struct FlushTally {
+    std::uint64_t writes = 0;
+    std::uint64_t frees = 0;
+  };
+
+  template <typename Apply>
+  void Update(ThreadId thread, LockId lock, Apply apply);
+  // Brings one arena row from showing `was` to showing `want`.
+  void SyncRow(const EdgeState& state, int* row, const Edge& was, const Edge& want, bool hold,
+               FlushTally* tally);
 
   void Loop();
   ThreadId SyntheticTid(const ThreadKey& key);
@@ -204,15 +219,15 @@ class IpcBridge : public GlobalEdgePublisher {
   obs::Recorder* recorder_;
   std::unique_ptr<IpcArena> arena_;
 
-  // Pending op-log state. flush_m_ serializes drains end to end: the batch
-  // is detached (under pending_m_) only AFTER flush_m_ is held, so two
-  // racing flushers can never replay one key's ops out of order.
+  // Deferred publication state. Entries are never erased while the bridge
+  // runs, so EdgeState pointers stay valid across rehashes; an emptied key
+  // keeps its node for the next acquisition of the same lock.
   SpinLock flush_m_;
   mutable SpinLock pending_m_;
-  std::unordered_map<PendingKey, PendingEntry, PendingKeyHash> pending_;
-  std::size_t pending_ops_ = 0;  // total ops across pending_ (under pending_m_)
-  // Drain staging buffer, reused across flushes (guarded by flush_m_).
-  std::vector<std::pair<PendingKey, PendingOp>> flush_scratch_;
+  std::unordered_map<LocalKey, EdgeState, LocalKeyHash> states_;
+  std::vector<EdgeState*> queued_;  // keys that differed since the last flush
+  std::size_t differing_ = 0;       // keys with want != shown (pending_m_)
+  std::vector<EdgeState*> flushing_;  // the batch being reconciled (flush_m_)
   std::atomic<std::uint64_t> flush_count_{0};
   std::atomic<std::uint64_t> flush_ops_total_{0};
 

@@ -22,8 +22,8 @@ struct RuleMeta {
 constexpr RuleMeta kRules[HealthEngine::kRuleCount] = {
     {"match_churn", "cover fast-path retries per request (window)"},
     {"epoch_stall", "% of wall time stalled entering stop-the-stripes epochs"},
-    {"ipc_backlog", "IPC pending-op log depth"},
-    {"ipc_flush_latency", "IPC pending-log drain p99 (us, cumulative)"},
+    {"ipc_backlog", "IPC thread-lock pairs awaiting a flush"},
+    {"ipc_flush_latency", "IPC edge flush p99 (us, cumulative)"},
     {"arena_exhaustion", "arena participant-slot / edge-row utilization %"},
     {"ring_drops", "trace-ring events dropped per second"},
     {"store_backlog", "history store writer queue depth"},

@@ -76,8 +76,8 @@ struct HealthSample {
 struct HealthThresholds {
   double retry_ratio = 0.5;           // fast-path retries per request
   double epoch_stall_pct = 5.0;       // % of wall time stalled entering epochs
-  std::uint64_t ipc_backlog = 256;    // pending ops (cap is 512)
-  std::uint64_t ipc_flush_p99_us = 10000;  // pending-log drain p99
+  std::uint64_t ipc_backlog = 256;    // unpublished (thread, lock) keys
+  std::uint64_t ipc_flush_p99_us = 10000;  // edge flush p99
   double arena_pct = 80.0;            // slot or edge-row utilization %
   double ring_drops_per_s = 100.0;    // trace events lost per second
   std::uint64_t store_queue = 64;     // store writer queue depth

@@ -42,7 +42,7 @@ enum class HistoKind {
   kYieldDuration = 1,   // park -> unpark
   kEpochHold = 2,       // stop-the-stripes guard held
   kMatchDuration = 3,   // incremental (fast-path) cover scan
-  kIpcFlush = 4,        // one pending-log drain into the IPC arena
+  kIpcFlush = 4,        // one edge flush into the IPC arena
 };
 inline constexpr int kHistoKindCount = 5;
 

@@ -45,8 +45,8 @@ enum class TraceEventType : std::uint8_t {
   kStoreCompact = 9,   // one history compaction; data = foreign sigs merged
   kFleetSync = 10,     // one dimmunixd gossip round; aux = peer index,
                        // data = records_in << 32 | records_out
-  kIpcFlush = 11,      // one pending-log drain into the IPC arena;
-                       // aux = arena rows written, data = ops drained
+  kIpcFlush = 11,      // one edge flush into the IPC arena;
+                       // aux = arena rows written, data = row writes + frees
 };
 inline constexpr std::uint8_t kTraceEventTypeMax = 11;
 

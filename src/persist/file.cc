@@ -2,12 +2,15 @@
 
 #include "src/persist/file.h"
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -81,9 +84,41 @@ LoadResult ReadSnapshot(const std::string& path, std::string* bytes, HistoryImag
   return result;
 }
 
+// Unlinks the <path>.tmp.<pid>.<seq> files of writers that died before
+// their rename. Only a pid that kill(2) reports as gone (ESRCH) counts as
+// dead: our own tmp files and those of a live pid may still be renamed.
+// The caller holds the FileLock, so no dead writer's file can be in use.
+void RemoveDeadWritersTmpFiles(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const std::string prefix =
+      (slash == std::string::npos ? path : path.substr(slash + 1)) + ".tmp.";
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    return;
+  }
+  const pid_t self = ::getpid();
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name.compare(0, prefix.size(), prefix) != 0) {
+      continue;
+    }
+    char* end = nullptr;
+    const long pid = std::strtol(name.c_str() + prefix.size(), &end, 10);
+    if (end == name.c_str() + prefix.size() || *end != '.' || pid <= 0 || pid == self) {
+      continue;
+    }
+    if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH) {
+      ::unlink((dir + name).c_str());
+    }
+  }
+  ::closedir(d);
+}
+
 // Writes `encoded` to a unique tmp file, fsyncs it and renames it over
 // <path>. The caller holds the FileLock.
 bool WriteSnapshot(const std::string& path, const std::string& encoded, std::string* error) {
+  RemoveDeadWritersTmpFiles(path);
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(g_tmp_seq.fetch_add(1, std::memory_order_relaxed));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

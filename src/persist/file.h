@@ -13,7 +13,7 @@
 //
 // Every function here is crash-safe against SIGKILL at any instruction: the
 // worst outcomes are the previous snapshot or a leftover .tmp file (ignored
-// by loads).
+// by loads, and unlinked by the next write once its writer's pid is gone).
 
 #ifndef DIMMUNIX_PERSIST_FILE_H_
 #define DIMMUNIX_PERSIST_FILE_H_

@@ -1,8 +1,10 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// The shared-memory arena: publish/snapshot round trips, seqlock-guarded
+// The shared-memory arena: row write/snapshot round trips, seqlock-guarded
 // records, slot claiming, clean release, and the PID+start-time liveness
-// sweep that makes a SIGKILL'd participant unable to wedge the fleet.
+// sweep that makes a SIGKILL'd participant unable to wedge the fleet. Which
+// rows show which (thread, lock) edges is the bridge's business; its cases
+// (reentrant counts, upgrade rows, overflow) live in bridge_test.cc.
 
 #include "src/ipc/arena.h"
 
@@ -12,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -31,6 +34,11 @@ class ArenaTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  }
+
   std::string path_;
 };
 
@@ -44,7 +52,10 @@ TEST_F(ArenaTest, PublishSnapshotRoundTrip) {
 
   const LockId lock = kGlobalLockBit | 0x42;
   const std::vector<Frame> frames{0x1111, 0x2222, 0x3333};
-  a->PublishWait(7, lock, AcquireMode::kShared, frames);
+  const LockRange range{0x77, 8, 24};
+  const int row = a->AllocRow();
+  ASSERT_GE(row, 0);
+  a->WriteRow(row, 7, lock, /*hold=*/false, AcquireMode::kShared, 0, frames, range);
 
   auto edges = b->SnapshotForeign();
   ASSERT_EQ(edges.size(), 1u);
@@ -54,124 +65,25 @@ TEST_F(ArenaTest, PublishSnapshotRoundTrip) {
   EXPECT_FALSE(edges[0].hold);
   EXPECT_EQ(edges[0].mode, AcquireMode::kShared);
   EXPECT_EQ(edges[0].frames, frames);
+  EXPECT_EQ(edges[0].range.group, range.group);
+  EXPECT_EQ(edges[0].range.start, range.start);
+  EXPECT_EQ(edges[0].range.len, range.len);
 
-  // Wait -> hold reuses the row; the old wait edge is gone.
-  a->PublishHold(7, lock, AcquireMode::kExclusive, frames);
+  // Rewriting the row replaces the edge in place.
+  a->WriteRow(row, 7, lock, /*hold=*/true, AcquireMode::kExclusive, 2, frames, {});
   edges = b->SnapshotForeign();
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_TRUE(edges[0].hold);
   EXPECT_EQ(edges[0].mode, AcquireMode::kExclusive);
-  EXPECT_EQ(edges[0].count, 1u);
+  EXPECT_EQ(edges[0].count, 2u);
+  EXPECT_FALSE(edges[0].range.valid());
 
   // A's own snapshot excludes its own edges.
   EXPECT_TRUE(a->SnapshotForeign().empty());
 
-  a->ClearHold(7, lock);
+  a->FreeRow(row);
   EXPECT_TRUE(b->SnapshotForeign().empty());
-}
-
-TEST_F(ArenaTest, ReentrantHoldsCountAndUnwind) {
-  std::string error;
-  auto a = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(a, nullptr) << error;
-  auto b = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(b, nullptr) << error;
-
-  const LockId lock = kGlobalLockBit | 0x99;
-  const std::vector<Frame> frames{0xaa};
-  a->PublishHold(3, lock, AcquireMode::kExclusive, frames);
-  a->PublishHold(3, lock, AcquireMode::kExclusive, frames);
-  auto edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].count, 2u);
-
-  a->ClearHold(3, lock);  // reentrant unwind: still held
-  edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].count, 1u);
-
-  a->ClearHold(3, lock);  // final release
-  EXPECT_TRUE(b->SnapshotForeign().empty());
-}
-
-TEST_F(ArenaTest, ClearWaitNeverRetractsAPromotedHold) {
-  std::string error;
-  auto a = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(a, nullptr) << error;
-  auto b = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(b, nullptr) << error;
-
-  const LockId lock = kGlobalLockBit | 0x7;
-  a->PublishWait(1, lock, AcquireMode::kExclusive, {0x1});
-  a->PublishHold(1, lock, AcquireMode::kExclusive, {0x1});
-  a->ClearWait(1, lock);  // stale rollback after the acquisition committed
-  auto edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_TRUE(edges[0].hold);
-
-  // And an upgrade's wait never hides the standing hold: the wait takes a
-  // second row of its own (lifecycle covered by UpgradeWaitGetsDistinctRow).
-  a->PublishWait(1, lock, AcquireMode::kExclusive, {0x1});
-  edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_NE(edges[0].hold, edges[1].hold);
-}
-
-TEST_F(ArenaTest, UpgradeWaitGetsDistinctRow) {
-  std::string error;
-  auto a = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(a, nullptr) << error;
-  auto b = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(b, nullptr) << error;
-
-  const LockId lock = kGlobalLockBit | 0x8;
-  a->PublishHold(4, lock, AcquireMode::kShared, {0x1});
-  // Shared -> exclusive upgrade: peers must see the shared hold AND the
-  // exclusive wait side by side, or cross-process upgrade-upgrade cycles
-  // are invisible.
-  a->PublishWait(4, lock, AcquireMode::kExclusive, {0x2});
-  auto edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 2u);
-  const auto& hold = edges[0].hold ? edges[0] : edges[1];
-  const auto& wait = edges[0].hold ? edges[1] : edges[0];
-  EXPECT_TRUE(hold.hold);
-  EXPECT_EQ(hold.mode, AcquireMode::kShared);
-  EXPECT_FALSE(wait.hold);
-  EXPECT_EQ(wait.mode, AcquireMode::kExclusive);
-  EXPECT_EQ(hold.thread, wait.thread);
-  EXPECT_EQ(hold.lock, wait.lock);
-
-  // A withdrawn upgrade (trylock rollback / yield timeout) retracts only
-  // the wait row; the shared hold stays published.
-  a->ClearWait(4, lock);
-  edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_TRUE(edges[0].hold);
-  EXPECT_EQ(edges[0].mode, AcquireMode::kShared);
-
-  // A committed upgrade frees the wait row and promotes the hold row.
-  a->PublishWait(4, lock, AcquireMode::kExclusive, {0x2});
-  a->PublishHold(4, lock, AcquireMode::kExclusive, {0x2});
-  edges = b->SnapshotForeign();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_TRUE(edges[0].hold);
-  EXPECT_EQ(edges[0].mode, AcquireMode::kExclusive);
-
-  // Full unwind leaks nothing (reentrant count was bumped by the commit).
-  a->ClearHold(4, lock);
-  a->ClearHold(4, lock);
-  EXPECT_TRUE(b->SnapshotForeign().empty());
-}
-
-TEST_F(ArenaTest, OverflowDropsInsteadOfBlocking) {
-  std::string error;
-  auto a = IpcArena::OpenOrCreate(path_, &error);
-  ASSERT_NE(a, nullptr) << error;
-  for (int i = 0; i < IpcArena::kEdgesPerParticipant + 5; ++i) {
-    a->PublishWait(1, kGlobalLockBit | static_cast<LockId>(0x1000 + i),
-                   AcquireMode::kExclusive, {0x1});
-  }
-  EXPECT_EQ(a->dropped_publishes(), 5u);
+  EXPECT_EQ(a->AllocRow(), row) << "a freed row is reused";
 }
 
 TEST_F(ArenaTest, CleanShutdownReleasesSlotAndEdges) {
@@ -179,7 +91,8 @@ TEST_F(ArenaTest, CleanShutdownReleasesSlotAndEdges) {
   {
     auto a = IpcArena::OpenOrCreate(path_, &error);
     ASSERT_NE(a, nullptr) << error;
-    a->PublishHold(1, kGlobalLockBit | 0x5, AcquireMode::kExclusive, {0x1});
+    a->WriteRow(a->AllocRow(), 1, kGlobalLockBit | 0x5, /*hold=*/true,
+                AcquireMode::kExclusive, 1, {0x1}, {});
   }
   auto b = IpcArena::OpenOrCreate(path_, &error);
   ASSERT_NE(b, nullptr) << error;
@@ -198,9 +111,23 @@ TEST_F(ArenaTest, RejectsForeignFilesWithoutTouchingThem) {
   EXPECT_EQ(a, nullptr);
   EXPECT_NE(error.find("not a Dimmunix IPC arena"), std::string::npos) << error;
   // The innocent file must be byte-identical — never truncated or resized.
-  std::ifstream check(path_, std::ios::binary);
-  std::string after((std::istreambuf_iterator<char>(check)), std::istreambuf_iterator<char>());
-  EXPECT_EQ(after, junk_content);
+  EXPECT_EQ(ReadFile(path_), junk_content);
+
+  // A version-1 arena (same geometry, older protocol) is refused too, and
+  // left exactly as it was: openers speak only the current protocol.
+  std::filesystem::remove(path_);
+  ASSERT_NE(IpcArena::OpenOrCreate(path_, &error), nullptr) << error;  // released at once
+  std::string v1 = ReadFile(path_);
+  const std::uint16_t old_version = 1;
+  std::memcpy(v1.data() + 4, &old_version, sizeof(old_version));  // header.version
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+  error.clear();
+  EXPECT_EQ(IpcArena::OpenOrCreate(path_, &error), nullptr);
+  EXPECT_NE(error.find("version/geometry mismatch"), std::string::npos) << error;
+  EXPECT_EQ(ReadFile(path_), v1);
 }
 
 TEST_F(ArenaTest, SweepReclaimsSigkilledParticipant) {
@@ -219,7 +146,8 @@ TEST_F(ArenaTest, SweepReclaimsSigkilledParticipant) {
     if (arena == nullptr) {
       ::_exit(1);
     }
-    arena->PublishHold(1, kGlobalLockBit | 0xdead, AcquireMode::kExclusive, {0xbeef});
+    arena->WriteRow(arena->AllocRow(), 1, kGlobalLockBit | 0xdead, /*hold=*/true,
+                    AcquireMode::kExclusive, 1, {0xbeef}, {});
     char byte = 'r';
     (void)!::write(ready[1], &byte, 1);
     for (;;) {
@@ -246,7 +174,8 @@ TEST_F(ArenaTest, ParticipantsReportLiveness) {
   auto a = IpcArena::OpenOrCreate(path_, &error);
   ASSERT_NE(a, nullptr) << error;
   a->Heartbeat();
-  a->PublishWait(1, kGlobalLockBit | 0x1, AcquireMode::kExclusive, {0x1});
+  a->WriteRow(a->AllocRow(), 1, kGlobalLockBit | 0x1, /*hold=*/false,
+              AcquireMode::kExclusive, 0, {0x1}, {});
   auto parts = a->Participants();
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_TRUE(parts[0].self);

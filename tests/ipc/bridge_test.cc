@@ -6,8 +6,8 @@
 // ("process" A and B) share one arena file inside this test process; the
 // bridges run deterministically via Tick().
 //
-// Publication is batched (docs/ipc-arena.md): an engine transition lands in
-// the publisher's pending op-log, not the arena, so tests drain the
+// Publication is deferred (docs/ipc-arena.md): an engine transition updates
+// the publisher's desired edge state, not the arena, so tests flush the
 // publishing side with FlushPending() before the peer's mirroring Tick —
 // exactly the one-flush-epoch visibility contract the protocol documents.
 
@@ -394,6 +394,151 @@ TEST_F(BridgeTest, OverlappingFcntlRangesConflictInTheMirror) {
   EXPECT_EQ(b.engine->LockOwner(mid), kInvalidThreadId);
   ::close(fd);
   std::filesystem::remove(file_path);
+}
+
+// --- Row bookkeeping, driven through the publisher calls ---------------------
+// The engine's calls, issued directly with a flush after each, and the
+// peer's raw arena view: which rows stand for one (thread, lock).
+
+std::vector<ForeignEdge> PeerView(Side& peer) { return peer.bridge->arena()->SnapshotForeign(); }
+
+TEST_F(BridgeTest, ReentrantHoldsCountAndUnwind) {
+  Side a(arena_path_);
+  Side b(arena_path_);
+  ASSERT_TRUE(a.started);
+  ASSERT_TRUE(b.started);
+
+  const StackId stack = a.stacks->Intern({0xaa});
+  a.bridge->PublishWait(3, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->PublishHold(3, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->PublishHold(3, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  auto edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_TRUE(edges[0].hold);
+  EXPECT_EQ(edges[0].count, 2u);
+
+  a.bridge->ClearHold(3, kLock1);  // reentrant unwind: still held
+  a.bridge->FlushPending();
+  edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].count, 1u);
+
+  a.bridge->ClearHold(3, kLock1);  // final release
+  a.bridge->FlushPending();
+  EXPECT_TRUE(PeerView(b).empty());
+}
+
+TEST_F(BridgeTest, ClearWaitNeverRetractsAPromotedHold) {
+  Side a(arena_path_);
+  Side b(arena_path_);
+  ASSERT_TRUE(a.started);
+  ASSERT_TRUE(b.started);
+
+  const StackId stack = a.stacks->Intern({0x1});
+  a.bridge->PublishWait(1, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  a.bridge->PublishHold(1, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  a.bridge->ClearWait(1, kLock1);  // stale rollback after the acquisition committed
+  a.bridge->FlushPending();
+  auto edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_TRUE(edges[0].hold);
+
+  // And a request over the standing hold never hides it: the wait takes a
+  // second row of its own (lifecycle covered by UpgradeWaitGetsDistinctRow).
+  a.bridge->PublishWait(1, kLock1, stack, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 2u);
+  EXPECT_NE(edges[0].hold, edges[1].hold);
+}
+
+TEST_F(BridgeTest, UpgradeWaitGetsDistinctRow) {
+  Side a(arena_path_);
+  Side b(arena_path_);
+  ASSERT_TRUE(a.started);
+  ASSERT_TRUE(b.started);
+
+  const StackId first = a.stacks->Intern({0x1});
+  const StackId upgrade = a.stacks->Intern({0x2});
+  a.bridge->PublishWait(4, kLock1, first, AcquireMode::kShared);
+  a.bridge->PublishHold(4, kLock1, first, AcquireMode::kShared);
+  a.bridge->FlushPending();
+  // Shared -> exclusive upgrade: peers must see the shared hold AND the
+  // exclusive wait side by side, or cross-process upgrade-upgrade cycles
+  // are invisible.
+  a.bridge->PublishWait(4, kLock1, upgrade, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  auto edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 2u);
+  const auto& hold = edges[0].hold ? edges[0] : edges[1];
+  const auto& wait = edges[0].hold ? edges[1] : edges[0];
+  EXPECT_TRUE(hold.hold);
+  EXPECT_EQ(hold.mode, AcquireMode::kShared);
+  EXPECT_FALSE(wait.hold);
+  EXPECT_EQ(wait.mode, AcquireMode::kExclusive);
+  EXPECT_EQ(hold.thread, wait.thread);
+  EXPECT_EQ(hold.lock, wait.lock);
+
+  // A withdrawn upgrade (trylock rollback / yield timeout) retracts only
+  // the wait row; the shared hold stays published.
+  a.bridge->ClearWait(4, kLock1);
+  a.bridge->FlushPending();
+  edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_TRUE(edges[0].hold);
+  EXPECT_EQ(edges[0].mode, AcquireMode::kShared);
+
+  // A committed upgrade frees the wait row and promotes the hold row.
+  a.bridge->PublishWait(4, kLock1, upgrade, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  a.bridge->PublishHold(4, kLock1, first, AcquireMode::kExclusive);
+  a.bridge->FlushPending();
+  edges = PeerView(b);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_TRUE(edges[0].hold);
+  EXPECT_EQ(edges[0].mode, AcquireMode::kExclusive);
+  EXPECT_EQ(edges[0].count, 2u);
+
+  // Full unwind leaks nothing (reentrant count was bumped by the commit).
+  a.bridge->ClearHold(4, kLock1);
+  a.bridge->ClearHold(4, kLock1);
+  a.bridge->FlushPending();
+  EXPECT_TRUE(PeerView(b).empty());
+}
+
+TEST_F(BridgeTest, OverflowDropsInsteadOfBlocking) {
+  Side a(arena_path_);
+  Side b(arena_path_);
+  ASSERT_TRUE(a.started);
+  ASSERT_TRUE(b.started);
+
+  const StackId stack = a.stacks->Intern({0x1});
+  const int edges = IpcArena::kEdgesPerParticipant + 5;
+  for (int i = 0; i < edges; ++i) {
+    a.bridge->PublishWait(1, kGlobalLockBit | static_cast<LockId>(0x1000 + i), stack,
+                          AcquireMode::kExclusive);
+  }
+  a.bridge->FlushPending();  // returns: a full arena never blocks the flusher
+  EXPECT_EQ(a.bridge->SnapshotStatus().dropped_publishes, 5u);
+  EXPECT_EQ(a.bridge->SnapshotStatus().pending_ops, 0u);
+  EXPECT_EQ(PeerView(b).size(), static_cast<std::size_t>(IpcArena::kEdgesPerParticipant));
+
+  // A dropped edge is counted once: it stays unpublished until it changes.
+  a.bridge->FlushPending();
+  EXPECT_EQ(a.bridge->SnapshotStatus().dropped_publishes, 5u);
+
+  // Freed rows are reused by the next change.
+  for (int i = 0; i < edges; ++i) {
+    a.bridge->ClearWait(1, kGlobalLockBit | static_cast<LockId>(0x1000 + i));
+  }
+  a.bridge->PublishWait(1, kLock1, stack, AcquireMode::kShared);
+  a.bridge->FlushPending();
+  const auto view = PeerView(b);
+  ASSERT_EQ(view.size(), 1u);
+  EXPECT_EQ(view[0].lock, kLock1);
 }
 
 TEST_F(BridgeTest, LocalLocksNeverReachTheArena) {

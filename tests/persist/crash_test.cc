@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -50,16 +51,20 @@ SignatureRecord UniqueRecord(std::uint64_t child, std::uint64_t i) {
   return rec;
 }
 
-// Removes the .tmp.<pid>.<seq> files a killed writer can leave behind.
-void RemoveTmpFiles(const std::string& path) {
+// The <path>.tmp.<pid>.<seq> files next to `path`.
+std::vector<std::string> TmpFiles(const std::string& path) {
   const std::filesystem::path p(path);
   const std::string prefix = p.filename().string() + ".tmp.";
+  std::vector<std::string> out;
   for (const auto& entry : std::filesystem::directory_iterator(p.parent_path())) {
     if (entry.path().filename().string().rfind(prefix, 0) == 0) {
-      std::filesystem::remove(entry.path());
+      out.push_back(entry.path().string());
     }
   }
+  return out;
 }
+
+void Touch(const std::string& path) { std::ofstream(path) << "partial snapshot"; }
 
 TEST(CrashTest, SigkillMidMergeLeavesEveryAcknowledgedSignature) {
   const std::string path = TempPath("kill");
@@ -123,7 +128,33 @@ TEST(CrashTest, SigkillMidMergeLeavesEveryAcknowledgedSignature) {
   History history(&table);
   EXPECT_TRUE(history.Load(path));
   EXPECT_EQ(history.size(), image.records.size());
-  RemoveTmpFiles(path);
+
+  // Whatever tmp file the kill left (plus one planted under the dead pid,
+  // so the check never depends on where the kill landed) is gone after the
+  // next write: nothing piles up next to a shared history.
+  Touch(path + ".tmp." + std::to_string(child) + ".999999");
+  HistoryImage more;
+  more.records.push_back(UniqueRecord(2, 1));
+  ASSERT_TRUE(MergeIntoFile(path, more));
+  EXPECT_TRUE(TmpFiles(path).empty()) << TmpFiles(path).front();
+  RemoveHistoryFiles(path);
+}
+
+TEST(CrashTest, TmpFilesOfLiveWritersSurviveTheSweep) {
+  const std::string path = TempPath("live_tmp");
+  // Our own pid may have a save in flight on another thread, and pid 1 is
+  // alive: neither tmp file may be touched.
+  const std::string own = path + ".tmp." + std::to_string(::getpid()) + ".999999";
+  const std::string live = path + ".tmp.1.0";
+  Touch(own);
+  Touch(live);
+  HistoryImage image;
+  image.records.push_back(UniqueRecord(3, 1));
+  ASSERT_TRUE(MergeIntoFile(path, image));
+  EXPECT_TRUE(std::filesystem::exists(own));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  std::filesystem::remove(own);
+  std::filesystem::remove(live);
   RemoveHistoryFiles(path);
 }
 
