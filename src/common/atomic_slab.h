@@ -5,11 +5,12 @@
 // The stack table and the thread registry are dense-id directories that grow
 // forever and are read on every instrumented lock operation. Guarding the
 // read side with the structure's write lock made those reads a global
-// serialization point. AtomicSlab keeps elements in fixed-size heap blocks
-// addressed through a two-level directory of atomic pointers: Get(i) is two
-// acquire loads and never blocks; Append publishes the element pointer with
-// a release store, so a reader that observes index i observes the fully
-// constructed element.
+// serialization point. AtomicSlab stores elements inline in fixed-size
+// blocks addressed through a directory of atomic block pointers: Get(i) is
+// one acquire load plus an index and never blocks. Append constructs the
+// element in place, then publishes it with a release store of size_, so a
+// reader that learned i from size() — or from an index the writer published
+// after the append — observes the fully constructed element.
 //
 // Writers must be externally serialized (callers hold their structure's
 // write lock while appending); readers need no lock at any time. Elements
@@ -21,7 +22,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
-#include <memory>
+#include <new>
 #include <utility>
 
 namespace dimmunix {
@@ -40,26 +41,25 @@ class AtomicSlab {
   ~AtomicSlab() {
     const std::size_t n = size_.load(std::memory_order_acquire);
     for (std::size_t b = 0; b * kBlockSize < n; ++b) {
-      Block* block = blocks_[b].load(std::memory_order_acquire);
+      T* block = blocks_[b].load(std::memory_order_acquire);
       const std::size_t in_block =
           n - b * kBlockSize < kBlockSize ? n - b * kBlockSize : kBlockSize;
       for (std::size_t i = 0; i < in_block; ++i) {
-        delete block->slots[i].load(std::memory_order_relaxed);
+        block[i].~T();
       }
-      delete block;
+      ::operator delete(block, std::align_val_t{alignof(T)});
     }
   }
 
   // Lock-free. Valid for i < size() as observed by this thread.
   T* Get(std::size_t i) const {
-    Block* block = blocks_[i >> kBlockBits].load(std::memory_order_acquire);
-    return block->slots[i & (kBlockSize - 1)].load(std::memory_order_acquire);
+    return blocks_[i >> kBlockBits].load(std::memory_order_acquire) + (i & (kBlockSize - 1));
   }
 
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
   // Writer-side only (external serialization required). Constructs T from
-  // `args`, publishes it at index size(), and returns {pointer, index}.
+  // `args` at index size(), publishes it, and returns {pointer, index}.
   // Aborts when the directory is exhausted — silent out-of-bounds writes
   // are not an option for a structure whose readers take no locks.
   template <typename... Args>
@@ -68,24 +68,20 @@ class AtomicSlab {
     if (i >= kMaxBlocks * kBlockSize) {
       std::abort();
     }
-    Block* block = blocks_[i >> kBlockBits].load(std::memory_order_relaxed);
+    T* block = blocks_[i >> kBlockBits].load(std::memory_order_relaxed);
     if (block == nullptr) {
-      block = new Block();
+      block = static_cast<T*>(::operator new(sizeof(T) * kBlockSize, std::align_val_t{alignof(T)}));
       blocks_[i >> kBlockBits].store(block, std::memory_order_release);
     }
-    T* value = new T(std::forward<Args>(args)...);
-    block->slots[i & (kBlockSize - 1)].store(value, std::memory_order_release);
+    void* at = block + (i & (kBlockSize - 1));
+    T* value = ::new (at) T(std::forward<Args>(args)...);
     size_.store(i + 1, std::memory_order_release);
     return {value, i};
   }
 
  private:
-  struct Block {
-    std::atomic<T*> slots[kBlockSize] = {};
-  };
-
   std::atomic<std::size_t> size_{0};
-  std::atomic<Block*> blocks_[kMaxBlocks] = {};
+  std::atomic<T*> blocks_[kMaxBlocks] = {};
 };
 
 }  // namespace dimmunix

@@ -171,14 +171,9 @@ AvoidanceEngine::StackSlot* AvoidanceEngine::SlotFor(StackId id) {
 std::vector<std::uint32_t> AvoidanceEngine::ComputeMemberships(StackId stack,
                                                                const SigGen& gen) const {
   std::vector<std::uint32_t> memberships;
-  for (std::size_t e = 0; e < gen.entries.size(); ++e) {
-    const SigGen::Entry& entry = gen.entries[e];
-    const std::size_t positions =
-        std::min(entry.sig_stacks.size(), std::size_t{1} << kPosBits);
-    for (std::size_t j = 0; j < positions; ++j) {
-      if (stacks_->MatchesAtDepth(stack, entry.sig_stacks[j], entry.depth)) {
-        memberships.push_back(static_cast<std::uint32_t>((e << kPosBits) | j));
-      }
+  for (std::size_t c = 0; c < gen.classes.size(); ++c) {
+    if (stacks_->MatchesAtDepth(stack, gen.classes[c].rep, gen.classes[c].depth)) {
+      memberships.push_back(static_cast<std::uint32_t>(c));
     }
   }
   return memberships;
@@ -196,12 +191,12 @@ AvoidanceEngine::FastScratch& AvoidanceEngine::MatchScratch() {
   return scratch;
 }
 
-bool AvoidanceEngine::EveryPositionLive(const SigGen::Entry& sig) {
+bool AvoidanceEngine::EveryPositionLive(const SigGen& gen, const SigGen::Entry& sig) {
   if (sig.sig_stacks.empty()) {
     return false;
   }
   for (std::size_t j = 0; j < sig.sig_stacks.size(); ++j) {
-    if (sig.live[j].load(std::memory_order_seq_cst) < sig.need[j]) {
+    if (gen.live[sig.cls[j]].load(std::memory_order_seq_cst) < sig.need[j]) {
       return false;
     }
   }
@@ -209,25 +204,31 @@ bool AvoidanceEngine::EveryPositionLive(const SigGen::Entry& sig) {
 }
 
 void AvoidanceEngine::CollectCandidates(const SigGen& gen,
-                                        const std::vector<std::uint32_t>* memberships,
+                                        const std::vector<std::uint32_t>* classes,
                                         std::vector<std::size_t>* out) {
   out->clear();
-  if (memberships == nullptr) {
+  if (classes == nullptr) {
     for (std::size_t e = 0; e < gen.entries.size(); ++e) {
-      if (EveryPositionLive(gen.entries[e])) {
+      if (EveryPositionLive(gen, gen.entries[e])) {
         out->push_back(e);
       }
     }
     return;
   }
-  std::size_t last = kNotCandidate;
-  for (const std::uint32_t pack : *memberships) {
-    const std::size_t e = pack >> kPosBits;
-    if (e != last && EveryPositionLive(gen.entries[e])) {
-      out->push_back(e);
+  // A stack is in at most one class per depth, and an entry's positions,
+  // all at its depth, are adjacent in their class: no entry repeats.
+  for (const std::uint32_t c : *classes) {
+    std::size_t last = kNotCandidate;
+    for (const std::uint32_t pack : gen.classes[c].positions) {
+      const std::size_t e = pack >> kPosBits;
+      if (e != last && EveryPositionLive(gen, gen.entries[e])) {
+        out->push_back(e);
+      }
+      last = e;
     }
-    last = e;
   }
+  // The cover search takes the first match: keep it in history order.
+  std::sort(out->begin(), out->end());
 }
 
 void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlot* slot,
@@ -240,31 +241,20 @@ void AvoidanceEngine::AddTupleLocked(SlotStripe& stripe, StackId stack, StackSlo
     slot->live_index = static_cast<int>(stripe.live.size());
     stripe.live.push_back(stack);
   }
-  // seq_cst: pairs with the seq_cst fast-reject loads so two racing
-  // requesters cannot both miss each other's tentative tuple. The
-  // fully_live gate preserves that argument: if requester A's fully_live
-  // load misses requester B's increment, then in the seq_cst total order
-  // A's live[] add precedes B's fully_live add — so B's candidate scan
-  // (which runs after its own increment) observes A's tuple.
-  for (const std::uint32_t pack : slot->memberships) {
-    const std::size_t e = pack >> kPosBits;
-    const std::size_t j = pack & ((1u << kPosBits) - 1);
-    const SigGen::Entry& entry = gen->entries[e];
-    if (entry.live[j].fetch_add(1, std::memory_order_seq_cst) == entry.need[j] - 1 &&
-        gen->dead[e].fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      gen->fully_live.fetch_add(1, std::memory_order_seq_cst);
-    }
+  // seq_cst: pairs with the seq_cst candidate reads so two racing
+  // requesters cannot both miss each other's tentative tuple: if requester
+  // A's read of B's class counter misses B's add, then in the seq_cst total
+  // order A's add precedes B's add — so B's reads (which run after its own
+  // add) observe A's tuple.
+  for (const std::uint32_t c : slot->memberships) {
+    gen->live[c].fetch_add(1, std::memory_order_seq_cst);
   }
   if (scratch != nullptr) {
-    // The requester's candidates, read after its own seq_cst adds above —
-    // the same point the fully_live gate reads at, so the add-before-scan
-    // argument is unchanged. A valid instance must use the requester's new
-    // allow edge, which only its own slot's positions can hold.
-    scratch->own_cands.clear();
+    // The requester's candidates, read after its own seq_cst adds above. A
+    // valid instance must use the requester's new allow edge, which only its
+    // own slot's classes can hold.
     scratch->own_version = gen->version;
-    if (gen->fully_live.load(std::memory_order_seq_cst) > 0) {
-      CollectCandidates(*gen, &slot->memberships, &scratch->own_cands);
-    }
+    CollectCandidates(*gen, &slot->memberships, &scratch->own_cands);
   }
 }
 
@@ -303,14 +293,8 @@ void AvoidanceEngine::RemoveTupleLocked(SlotStripe& stripe, StackId stack, Stack
   // Invariant: a slot that held tuples has memberships current w.r.t. the
   // published generation (adds refresh lazily; rebuilds visit live slots).
   EnsureMemberships(stack, slot, *gen);
-  for (const std::uint32_t pack : slot->memberships) {
-    const std::size_t e = pack >> kPosBits;
-    const std::size_t j = pack & ((1u << kPosBits) - 1);
-    const SigGen::Entry& entry = gen->entries[e];
-    if (entry.live[j].fetch_sub(1, std::memory_order_seq_cst) == entry.need[j] &&
-        gen->dead[e].fetch_add(1, std::memory_order_seq_cst) == 0) {
-      gen->fully_live.fetch_sub(1, std::memory_order_seq_cst);
-    }
+  for (const std::uint32_t c : slot->memberships) {
+    gen->live[c].fetch_sub(1, std::memory_order_seq_cst);
   }
 }
 
@@ -352,63 +336,61 @@ void AvoidanceEngine::RefreshGen() {
   auto gen = std::make_unique<SigGen>();
   gen->version = version;
   history_->ForEach([&gen](int index, const Signature& sig) {
-    if (sig.disabled) {
+    // A position past 1 << kPosBits cannot be packed, so such a signature
+    // could never be matched; it stays out of the cache.
+    if (sig.disabled || sig.stacks.size() > (std::size_t{1} << kPosBits)) {
       return;
     }
     SigGen::Entry entry;
     entry.index = index;
     entry.depth = sig.match_depth;
     entry.sig_stacks = sig.stacks;
-    entry.live = std::make_unique<std::atomic<std::int64_t>[]>(sig.stacks.size());
     gen->entries.push_back(std::move(entry));
   });
-  for (SigGen::Entry& entry : gen->entries) {
-    // Matching at a depth is symmetric: each matching pair counts for both.
+  // Group positions into classes: look up by suffix hash, confirm against
+  // the representative.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> class_index;
+  for (std::size_t e = 0; e < gen->entries.size(); ++e) {
+    SigGen::Entry& entry = gen->entries[e];
+    const std::size_t hash_at =
+        static_cast<std::size_t>(std::clamp(entry.depth, 1, stacks_->max_depth()) - 1);
     const std::size_t k = entry.sig_stacks.size();
-    entry.need.assign(k, 1);
+    entry.cls.resize(k);
     for (std::size_t j = 0; j < k; ++j) {
-      for (std::size_t i = j + 1; i < k; ++i) {
-        if (stacks_->MatchesAtDepth(entry.sig_stacks[i], entry.sig_stacks[j], entry.depth)) {
-          ++entry.need[i];
-          ++entry.need[j];
-        }
+      const StackId id = entry.sig_stacks[j];
+      std::vector<std::uint32_t>& bucket = class_index[stacks_->Get(id).depth_hash[hash_at]];
+      auto it = std::find_if(bucket.begin(), bucket.end(), [&](std::uint32_t c) {
+        const SigGen::Class& cls = gen->classes[c];
+        return cls.depth == entry.depth && stacks_->MatchesAtDepth(id, cls.rep, cls.depth);
+      });
+      if (it == bucket.end()) {
+        it = bucket.insert(it, static_cast<std::uint32_t>(gen->classes.size()));
+        gen->classes.push_back(SigGen::Class{entry.depth, id, {}});
       }
+      entry.cls[j] = *it;
+      gen->classes[*it].positions.push_back(static_cast<std::uint32_t>((e << kPosBits) | j));
+    }
+    entry.need.resize(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      entry.need[j] = std::count(entry.cls.begin(), entry.cls.end(), entry.cls[j]);
     }
   }
-  gen->dead = std::make_unique<std::atomic<std::int32_t>[]>(gen->entries.size());
+  gen->live = std::make_unique<std::atomic<std::int64_t>[]>(gen->classes.size());
   {
     // Stop the stripes: recompute every live slot's memberships against the
-    // new generation and seed its per-position live counters, then publish.
+    // new generation and seed its class counters, then publish.
     SlotEpochGuard epoch(*this);
     for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
       for (const StackId id : slot_stripes_[s].live) {
         StackSlot* slot = stack_slots_.Get(static_cast<std::size_t>(id));
         slot->memberships = ComputeMemberships(id, *gen);
         slot->member_version = gen->version;
-        for (const std::uint32_t pack : slot->memberships) {
-          gen->entries[pack >> kPosBits].live[pack & ((1u << kPosBits) - 1)].fetch_add(
-              static_cast<std::int64_t>(slot->tuples.size()), std::memory_order_relaxed);
+        for (const std::uint32_t c : slot->memberships) {
+          gen->live[c].fetch_add(static_cast<std::int64_t>(slot->tuples.size()),
+                                 std::memory_order_relaxed);
         }
       }
     }
-    // Seed the O(1) fast-reject counters from the freshly computed live
-    // counts. Safe to do non-transitionally: we hold every stripe, so no
-    // Add/RemoveTupleLocked can interleave before the generation publishes.
-    std::int64_t fully_live = 0;
-    for (std::size_t e = 0; e < gen->entries.size(); ++e) {
-      const SigGen::Entry& entry = gen->entries[e];
-      std::int32_t dead = entry.sig_stacks.empty() ? 1 : 0;
-      for (std::size_t j = 0; j < entry.sig_stacks.size(); ++j) {
-        if (entry.live[j].load(std::memory_order_relaxed) < entry.need[j]) {
-          ++dead;
-        }
-      }
-      gen->dead[e].store(dead, std::memory_order_relaxed);
-      if (dead == 0) {
-        ++fully_live;
-      }
-    }
-    gen->fully_live.store(fully_live, std::memory_order_relaxed);
     gen_.store(gen.get(), std::memory_order_seq_cst);
     retired_gens_.push_back(std::move(gen));
 
@@ -500,14 +482,16 @@ bool AvoidanceEngine::FillPools(const SigGen& gen, const std::vector<std::size_t
         }
         EnsureMemberships(id, live_slot, gen);
       }
-      for (const std::uint32_t pack : live_slot->memberships) {
-        const std::size_t c = cand_of[pack >> kPosBits];
-        if (c == kNotCandidate) {
-          continue;
-        }
-        auto& pool = pools[c][pack & ((1u << kPosBits) - 1)];
-        for (const AllowedTuple& tuple : live_slot->tuples) {
-          pool.emplace_back(id, tuple);
+      for (const std::uint32_t cls : live_slot->memberships) {
+        for (const std::uint32_t pack : gen.classes[cls].positions) {
+          const std::size_t c = cand_of[pack >> kPosBits];
+          if (c == kNotCandidate) {
+            continue;
+          }
+          auto& pool = pools[c][pack & ((1u << kPosBits) - 1)];
+          for (const AllowedTuple& tuple : live_slot->tuples) {
+            pool.emplace_back(id, tuple);
+          }
         }
       }
     }
@@ -587,12 +571,8 @@ std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
   // The generation cannot be republished while we hold every stripe.
   const SigGen& gen = *CurrentGen();
   auto& cands = scratch.cands;
-  if (upgrade) {
-    CollectCandidates(gen, nullptr, &cands);
-  } else {
-    EnsureMemberships(stack, own_slot, gen);
-    CollectCandidates(gen, &own_slot->memberships, &cands);
-  }
+  EnsureMemberships(stack, own_slot, gen);
+  CollectCandidates(gen, upgrade ? nullptr : &own_slot->memberships, &cands);
   MatchResult result;
   if (cands.empty() || !FillPools(gen, cands, scratch, /*lock_stripes=*/false) ||
       !SearchCandidates(gen, cands, scratch, thread, lock, &result)) {
@@ -669,20 +649,20 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
   // mid-decision. Persistent churn is real contention on the instantiation
   // itself, which only the epoch can arbitrate.
   constexpr int kFastMatchAttempts = 3;
-  // O(1) trivial reject (§5.6 common case): no signature has every position
-  // live, so no instantiation can exist. No counter tick and no
-  // match-duration sample — the histogram stays a picture of real cover
-  // searches. Our own tentative tuple is already counted (AddTuple ran
-  // before the match), so two racing requesters cannot both pass through.
-  if (gen.fully_live.load(std::memory_order_seq_cst) == 0) {
-    return FastMatchOutcome::kNoMatch;
-  }
   // Scratch reuse matters beyond CPU time: every nanosecond spent here is
   // spent with the requester's tentative tuple live, and the window length
   // feeds quadratically into how often concurrent requesters see each other
   // as instantiation material.
   FastScratch& scratch = MatchScratch();
   const bool upgrade = FindHeld(slot, lock) != nullptr;
+  if (scratch.own_version != gen.version) {
+    // A rebuild republished since our add, seeding our tuple into `gen`
+    // under the epoch. Recompute the candidates from a fresh class list,
+    // leaving the slot's cache to the epoch path: none is authoritative.
+    const std::vector<std::uint32_t> classes = ComputeMemberships(stack, gen);
+    CollectCandidates(gen, upgrade ? nullptr : &classes, &scratch.cands);
+    return scratch.cands.empty() ? FastMatchOutcome::kNoMatch : FastMatchOutcome::kFallback;
+  }
   std::uint64_t search_begin = 0;  // set lazily: trivial rejects skip the clock
   const auto record_search = [&](std::int64_t matched_signature) {
     if (search_begin != 0) {

@@ -32,14 +32,16 @@
 // change, and Snapshot().
 //
 // Matching stays off the epoch in the common case: each signature-cache
-// generation keeps one atomic live-tuple counter per signature position,
-// maintained by tuple add/remove under slot stripe locks with seq_cst RMWs.
-// A request first bumps its own tentative tuple, then reads the counters
-// (the store-buffer litmus guarantees two racing requesters cannot both
-// miss each other). A position counts as live only while it has as many
-// tuples as the signature has positions matching the same stacks (distinct
-// threads fill them). When every position of a signature the requester's
-// own stack can occupy is live — an instantiation that uses the new edge is
+// generation groups signature positions into suffix classes (the stacks
+// that match a position at its signature's depth) and keeps one atomic
+// live-tuple counter per class, maintained by tuple add/remove under slot
+// stripe locks with one seq_cst RMW per class the stack belongs to. A
+// request first bumps its own tentative tuple, then reads the counters (the
+// store-buffer litmus guarantees two racing requesters cannot both miss
+// each other). A signature can have an instance only while each of its
+// classes holds as many tuples as the signature has positions in it
+// (distinct threads fill them). When a signature the requester's own stack
+// can occupy passes that test — an instantiation that uses the new edge is
 // plausible — the request runs the *incremental* cover search
 // (TryMatchIncremental): it copies the candidate tuples one stripe lock at a
 // time into private pools, runs the cover search on the copies, and on a
@@ -256,13 +258,14 @@ class AvoidanceEngine {
   // that are permitted to wait for locks while having call stack S;
   // Allowed includes those threads that have acquired and still hold the
   // locks", §5.6). Guarded by the slot stripe chosen by StackId hash.
-  struct StackSlot {
+  // One cache line each: slab neighbours are written under other stripes.
+  struct alignas(64) StackSlot {
     std::vector<AllowedTuple> tuples;
     // Position in the owning stripe's live-slot list; -1 while empty.
     int live_index = -1;
-    // Which signature positions of which cache generation this stack can
-    // occupy, packed as (entry_index << kPosBits) | position. Recomputed
-    // lazily when the generation changes.
+    // The suffix classes of cache generation `member_version` this stack
+    // belongs to: one per distinct signature depth it matches at.
+    // Recomputed lazily when the generation changes.
     std::uint64_t member_version = kStaleVersion;
     std::vector<std::uint32_t> memberships;
   };
@@ -392,7 +395,7 @@ class AvoidanceEngine {
   // under sig_mutex_ + the epoch and published via an atomic pointer;
   // superseded generations are reclaimed by the next rebuild, sparing any
   // still pinned by a reader's hazard pointer (AcquireGenRef). Only the
-  // per-position live counters mutate after publication.
+  // per-class live counters mutate after publication.
   static constexpr std::uint64_t kStaleVersion = ~0ULL;
   static constexpr unsigned kPosBits = 10;  // max 1024 stacks per signature
   struct SigGen {
@@ -401,36 +404,34 @@ class AvoidanceEngine {
       int index = -1;  // position in History
       int depth = 4;
       std::vector<StackId> sig_stacks;
-      // live[j] = tuples currently present in slots matching sig_stacks[j]
-      // at `depth`. seq_cst add/remove + seq_cst fast-reject reads.
-      std::unique_ptr<std::atomic<std::int64_t>[]> live;
-      // need[j] = positions k (j included) whose sig_stacks[k] matches
-      // sig_stacks[j] at `depth`. An instance puts a distinct thread on every
-      // position, and matching at a depth is an equivalence, so position j
-      // can only be covered while live[j] >= need[j]: a same-suffix
+      // cls[j] = the class of sig_stacks[j]; need[j] = this entry's positions
+      // in that class. An instance puts a distinct thread on every position,
+      // so j can only be covered while live[cls[j]] >= need[j]: a same-suffix
       // signature needs two threads at that suffix, not one.
+      std::vector<std::uint32_t> cls;
       std::vector<std::int64_t> need;
     };
+    // A suffix class: the stacks matching `rep` at `depth` (matching at a
+    // depth is an equivalence). `positions` are the signature positions in
+    // the class, packed (entry << kPosBits) | j, in entry order.
+    struct Class {
+      int depth = 0;
+      StackId rep = kInvalidStackId;
+      std::vector<std::uint32_t> positions;
+    };
     std::vector<Entry> entries;
-    // dead[e] = positions j of entries[e] with live[j] < need[j] (empty
-    // signatures pin a sentinel 1 so they can never look fully live).
-    // Maintained on live[] need-1 <-> need transitions by
-    // Add/RemoveTupleLocked.
-    std::unique_ptr<std::atomic<std::int32_t>[]> dead;
-    // Entries with dead[e] == 0 — the O(1) form of the §5.6 fast reject.
-    // Zero means no signature can possibly be instantiated right now, which
-    // is the steady state of a deadlock-free run: the matcher's per-request
-    // cost collapses to this one load. seq_cst keeps the two-racing-
-    // requesters argument (see AddTupleLocked) intact.
-    mutable std::atomic<std::int64_t> fully_live{0};
+    std::vector<Class> classes;
+    // live[c] = tuples currently in slots of class c. seq_cst add/remove +
+    // seq_cst candidate reads.
+    std::unique_ptr<std::atomic<std::int64_t>[]> live;
   };
-  // True when every position j of `sig` has live[j] >= need[j] (seq_cst
-  // reads): only then can the signature have an instance.
-  static bool EveryPositionLive(const SigGen::Entry& sig);
-  // Writes to `out` the entries named in `memberships` (packed, sorted by
-  // entry) that pass EveryPositionLive; every entry of `gen` when
-  // `memberships` is null.
-  static void CollectCandidates(const SigGen& gen, const std::vector<std::uint32_t>* memberships,
+  // True when every position j of `sig` has live[cls[j]] >= need[j]
+  // (seq_cst reads): only then can the signature have an instance.
+  static bool EveryPositionLive(const SigGen& gen, const SigGen::Entry& sig);
+  // Writes to `out`, in entry order, the entries with a position in one of
+  // `classes` (any entry when null) that pass EveryPositionLive. An empty
+  // result is the §5.6 fast reject.
+  static void CollectCandidates(const SigGen& gen, const std::vector<std::uint32_t>* classes,
                                 std::vector<std::size_t>* out);
 
   struct MatchResult {
@@ -473,7 +474,7 @@ class AvoidanceEngine {
   StackSlot* SlotFor(StackId id);
 
   // Tuple bookkeeping. Caller must hold StripeOf(stack). These maintain the
-  // stripe live list and the generation's per-position live counters. A
+  // stripe live list and the generation's per-class live counters. A
   // requester passes its `scratch` to AddTupleLocked, which then records the
   // requester-scoped candidate set (FastScratch::own_cands) right after the
   // add, under the stripe lock it already holds.
@@ -583,9 +584,12 @@ class AvoidanceEngine {
   // copies. On a match it performs the same retire(+register) sequence as
   // MatchAndRetire, then validates the chosen cover is still standing;
   // validation churn retries a bounded number of times before handing the
-  // decision to the epoch. Falls back (never recomputes) when the recorded
-  // candidates or any live slot's membership cache are stale w.r.t. `gen`
-  // — only the epoch path may recompute memberships.
+  // decision to the epoch. When a rebuild republished between the add and
+  // this call, the recorded candidates are stale: it recomputes them against
+  // `gen` from a fresh class list (without writing the slot's cache) and
+  // answers kNoMatch when none remain, kFallback otherwise. It also falls
+  // back when any live slot's membership cache is stale w.r.t. `gen` — only
+  // the epoch path may recompute memberships.
   FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, AcquireMode mode,
                                        StackId stack, ThreadSlot& slot, bool yield_on_match,
                                        const SigGen& gen, MatchResult* result);

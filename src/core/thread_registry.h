@@ -26,7 +26,8 @@
 
 namespace dimmunix {
 
-struct ThreadSlot {
+// Cache-line aligned: slab neighbours are written by other threads.
+struct alignas(64) ThreadSlot {
   ThreadId id = kInvalidThreadId;
   // OS thread id at registration time — what maps an engine ThreadId onto
   // its flight-recorder trace ring (incident forensics). Written once at
@@ -97,9 +98,9 @@ class ThreadRegistry {
   // first use. O(1) after the first call (thread-local cache).
   ThreadId RegisterCurrentThread();
 
-  // Lock-free: slots live in an append-only slab, so the lookup is two
-  // acquire loads. The registry sits on every Request/Acquired/Release, so
-  // it must not be a serialization point.
+  // Lock-free: slots live inline in an append-only slab, so the lookup is
+  // one acquire load plus an index. The registry sits on every
+  // Request/Acquired/Release, so it must not be a serialization point.
   ThreadSlot& Slot(ThreadId id) { return *slots_.Get(static_cast<std::size_t>(id)); }
   const ThreadSlot& Slot(ThreadId id) const {
     return *slots_.Get(static_cast<std::size_t>(id));

@@ -15,6 +15,17 @@ constexpr std::size_t kInitialIndexCapacity = 1 << 10;
 // The index uses hash == 0 as the empty sentinel.
 inline std::uint64_t NonZeroHash(std::uint64_t h) { return h == 0 ? 1 : h; }
 
+// The intern index's key: one multiply-xorshift round per 64-bit frame (the
+// xorshift folds high product bits into the low bits the index masks).
+std::uint64_t FramesHash(const std::vector<Frame>& frames) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ frames.size();
+  for (const Frame frame : frames) {
+    h = (h ^ frame) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
 }  // namespace
 
 StackTable::StackTable(int max_depth) : max_depth_(std::max(1, max_depth)) {
@@ -95,8 +106,7 @@ void StackTable::IndexInsertLocked(std::uint64_t hash, StackId id) {
 }
 
 StackId StackTable::Intern(const std::vector<Frame>& frames) {
-  const std::uint64_t full =
-      NonZeroHash(Fnv1a64(frames.data(), frames.size() * sizeof(Frame)));
+  const std::uint64_t full = NonZeroHash(FramesHash(frames));
 
   // Lock-free fast path: the stack is usually already interned.
   {
@@ -125,8 +135,7 @@ StackId StackTable::Intern(const std::vector<Frame>& frames) {
     for (int d = 1; d <= max_depth_; ++d) {
       entry.depth_hash[static_cast<std::size_t>(d - 1)] = SuffixHash(frames, d);
     }
-    auto [stored, stored_index] = entries_.Append(std::move(entry));
-    (void)stored_index;
+    StackEntry* stored = entries_.Append(std::move(entry)).first;
     for (int d = 1; d <= max_depth_; ++d) {
       const std::size_t di = static_cast<std::size_t>(d - 1);
       by_depth_[di][stored->depth_hash[di]].push_back(stored->id);

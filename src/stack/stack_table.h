@@ -47,7 +47,7 @@ constexpr StackId kInvalidStackId = -1;
 struct StackEntry {
   StackId id = kInvalidStackId;
   std::vector<Frame> frames;          // innermost first
-  std::uint64_t full_hash = 0;        // hash over all frames
+  std::uint64_t full_hash = 0;        // intern-index hash over all frames
   std::vector<std::uint64_t> depth_hash;  // depth_hash[d-1] = hash of top-d frames
 };
 

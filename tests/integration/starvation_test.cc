@@ -8,12 +8,16 @@
 // will lead (after breaking) to the deadlock that was being avoided" — which
 // the configured kBreakVictim recovery unwinds so the test can join.
 //
-// The choreography (signature = {[f], [f]} at depth 1):
+// The choreography (signature = {[f], [f]} at depth 1), ordered by
+// handshakes rather than sleeps:
 //   T1: LockVia(A)           -> holds A with stack [f]
-//   T2: plain B.Lock()       -> holds B with a native stack (no match)
-//   T1: LockVia(B)           -> GO (no second distinct-lock tuple matches),
-//                               allow edge (T1, B, [f]); blocks on raw B
-//   T2: LockVia(A)           -> tentative (T2, A, [f]) + allow (T1, B, [f])
+//   T2: plain B.Lock()       -> (once T1 holds A) holds B with a native
+//                               stack (no match)
+//   T1: LockVia(B)           -> (once T2 holds B) GO (no second distinct-lock
+//                               tuple matches), allow edge (T1, B, [f]);
+//                               blocks on raw B
+//   T2: LockVia(A)           -> (once [f] carries T1's hold and allow edges)
+//                               tentative (T2, A, [f]) + allow (T1, B, [f])
 //                               instantiate the signature -> T2 yields on T1
 //   T1 is blocked, T2 yields on T1  => yield cycle => starvation.
 
@@ -55,13 +59,15 @@ void SeedSignature(Runtime& rt) {
 
 // Returns when both threads have unwound (via completion or kBroken).
 void RunChoreography(Runtime& rt) {
+  const StackId f_stack = rt.stacks().Intern({FrameFromName("starvation::LockVia")});
   Mutex a(rt);
   Mutex b(rt);
-  std::latch start(2);
+  std::latch a_held(1);
+  std::latch b_held(1);
   std::thread t1([&] {
-    start.arrive_and_wait();
     ASSERT_EQ(LockVia(a), LockResult::kOk);  // hold A with [f]
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    a_held.count_down();
+    b_held.wait();
     const LockResult r = LockVia(b);  // allow (T1, B, [f]); blocks on raw B
     if (r == LockResult::kOk) {
       b.Unlock();
@@ -69,10 +75,14 @@ void RunChoreography(Runtime& rt) {
     a.Unlock();
   });
   std::thread t2([&] {
-    start.arrive_and_wait();
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    a_held.wait();
     ASSERT_EQ(b.Lock(), LockResult::kOk);  // native stack: no signature match
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    b_held.count_down();
+    // T1's hold of A and its allow edge on B both sit on [f]; T1 is then
+    // blocked on raw B (or about to be).
+    while (rt.engine().AllowedCount(f_stack) < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     const LockResult r = LockVia(a);  // instantiates {[f],[f]} -> yield -> starvation
     if (r == LockResult::kOk) {
       a.Unlock();
@@ -81,6 +91,10 @@ void RunChoreography(Runtime& rt) {
   });
   t1.join();
   t2.join();
+  // The monitor pass that broke the cycle counts the starvation after its
+  // deadlock handler has already let both threads unwind; a pass of our own
+  // waits for that one to finish (the monitor serializes passes).
+  rt.monitor().RunOnce();
 }
 
 TEST(StarvationTest, InducedStarvationIsDetectedSavedAndBroken) {

@@ -21,6 +21,13 @@
 //     transfer(a, b) vs transfer(b, a) shape): both racers enter one stack,
 //     so each position needs two live tuples before the fast reject lets a
 //     request through to the cover search.
+//
+//  4. Sequential oracle over request sequences: each request runs on its
+//     own thread and lock, granted ones stay held, and every decision must
+//     equal an independent cover search over the frames. Two histories
+//     stress the per-class live counters: signatures at depths 1 and 2
+//     whose stacks share the depth-1 suffix (one stack in two classes), and
+//     a three-position signature with two same-suffix positions.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +36,10 @@
 #include <array>
 #include <atomic>
 #include <latch>
+#include <random>
+#include <semaphore>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -261,6 +271,169 @@ TEST_P(MatcherProperty, SameSuffixRacingSecondEdgesNeverBothPass) {
   // The holds are taken outside the signature's stack, so neither is
   // refused; then both threads race into the one stack on swapped locks.
   ExpectRacingSecondEdgesNeverBothPass(rt, 0x4000, {kInnerB, kInnerB}, {kInnerA, kInnerA});
+}
+
+// A two-frame call path, innermost frame first (the order interned stacks
+// use).
+struct Path {
+  const char* inner;
+  const char* outer;
+};
+
+struct OracleSignature {
+  std::vector<Path> stacks;
+  int depth;  // 1 or 2
+};
+
+// The oracle's own suffix match, on frame names rather than interned ids.
+bool MatchesAt(const Path& a, const Path& b, int depth) {
+  return std::string_view(a.inner) == b.inner &&
+         (depth < 2 || std::string_view(a.outer) == b.outer);
+}
+
+// Cover search: every position gets its own tuple, and the request (the
+// last of `tuples`) is among them. Each tuple is a distinct thread on a
+// distinct lock, so nothing else constrains the cover.
+bool Covers(const OracleSignature& sig, const std::vector<Path>& tuples, std::size_t pos,
+            std::vector<bool>& used) {
+  if (pos == sig.stacks.size()) {
+    return used.back();
+  }
+  for (std::size_t t = 0; t < tuples.size(); ++t) {
+    if (!used[t] && MatchesAt(tuples[t], sig.stacks[pos], sig.depth)) {
+      used[t] = true;
+      if (Covers(sig, tuples, pos + 1, used)) {
+        return true;
+      }
+      used[t] = false;
+    }
+  }
+  return false;
+}
+
+// The sequential prediction for `request` while `held` stand.
+RequestDecision OracleDecision(const std::vector<OracleSignature>& history,
+                               std::vector<Path> held, const Path& request) {
+  held.push_back(request);
+  for (const OracleSignature& sig : history) {
+    std::vector<bool> used(held.size(), false);
+    if (Covers(sig, held, 0, used)) {
+      return RequestDecision::kBusy;
+    }
+  }
+  return RequestDecision::kGo;
+}
+
+void SeedHistory(Runtime& rt, const std::vector<OracleSignature>& history) {
+  for (const OracleSignature& sig : history) {
+    std::vector<StackId> stacks;
+    for (const Path& path : sig.stacks) {
+      stacks.push_back(rt.stacks().Intern({FrameFromName(path.inner), FrameFromName(path.outer)}));
+    }
+    bool added = false;
+    rt.history().Add(SignatureKind::kDeadlock, stacks, sig.depth, &added);
+    ASSERT_TRUE(added);
+  }
+  rt.engine().NotifyHistoryChanged();
+}
+
+// Issues `requests` in order, each by its own thread on its own lock; a
+// granted request is acquired and held until every request has decided.
+// Each decision is checked against the oracle for the holds standing then.
+void ExpectSequenceMatchesOracle(Runtime& rt, const std::vector<OracleSignature>& history,
+                                 const std::vector<Path>& requests, LockId base) {
+  std::vector<Path> held;
+  std::vector<RequestDecision> got(requests.size(), RequestDecision::kGo);
+  std::binary_semaphore decided(0);
+  std::latch release(1);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const RequestDecision expected = OracleDecision(history, held, requests[i]);
+    threads.emplace_back([&, i] {
+      const ThreadId tid = rt.RegisterCurrentThread();
+      const LockId lock = base + i;
+      {
+        ScopedFrame outer(FrameFromName(requests[i].outer));
+        ScopedFrame inner(FrameFromName(requests[i].inner));
+        got[i] = rt.engine().RequestNonblocking(tid, lock);
+      }
+      const bool granted = got[i] == RequestDecision::kGo;
+      if (granted) {
+        rt.engine().Acquired(tid, lock);
+      }
+      decided.release();
+      release.wait();
+      if (granted) {
+        rt.engine().Release(tid, lock);
+      }
+    });
+    decided.acquire();
+    std::string trace;
+    for (std::size_t j = 0; j <= i; ++j) {
+      trace += std::string(" ") + requests[j].inner + "/" + requests[j].outer;
+    }
+    EXPECT_EQ(got[i], expected) << "request " << i << " of" << trace;
+    if (got[i] == RequestDecision::kGo) {
+      held.push_back(requests[i]);
+    }
+  }
+  release.count_down();
+  for (auto& thread : threads) {
+    thread.join();
+  }
+}
+
+constexpr const char* kInnerC = "matcher_prop::path_c";
+
+// Every two-request sequence, then random three-request ones, over paths
+// built from three inner and two outer frames.
+void ExpectAllSequencesMatchOracle(Runtime& rt, const std::vector<OracleSignature>& history,
+                                   LockId base) {
+  std::vector<Path> paths;
+  for (const char* inner : {kInnerA, kInnerB, kInnerC}) {
+    for (const char* outer : {kOuterSig, kOuterWork}) {
+      paths.push_back(Path{inner, outer});
+    }
+  }
+  LockId lock = base;
+  for (const Path& first : paths) {
+    for (const Path& second : paths) {
+      ExpectSequenceMatchesOracle(rt, history, {first, second}, lock);
+      lock += 4;
+    }
+  }
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<std::size_t> pick(0, paths.size() - 1);
+  const auto pick_path = [&] { return paths[pick(rng)]; };
+  for (int round = 0; round < 60; ++round) {
+    ExpectSequenceMatchesOracle(rt, history, {pick_path(), pick_path(), pick_path()}, lock);
+    lock += 4;
+  }
+}
+
+// {A/sig, B/sig} at depth 1 and {A/work, C/work} at depth 2: the stacks
+// share their depth-1 suffix A, so an A/work stack belongs to a class at
+// each depth at once, and only the depth-2 signature tells A/sig from
+// A/work.
+TEST_P(MatcherProperty, SuffixSharedAcrossDepthsMatchesSequentialOracle) {
+  Runtime rt(SweptConfig());
+  const std::vector<OracleSignature> history = {
+      {{{kInnerA, kOuterSig}, {kInnerB, kOuterSig}}, 1},
+      {{{kInnerA, kOuterWork}, {kInnerC, kOuterWork}}, 2},
+  };
+  SeedHistory(rt, history);
+  ExpectAllSequencesMatchOracle(rt, history, 0x5000);
+}
+
+// {A, A, B} at depth 1: the A class needs two threads before the signature
+// can be instantiated, and B one.
+TEST_P(MatcherProperty, ThreePositionSameSuffixMatchesSequentialOracle) {
+  Runtime rt(SweptConfig());
+  const std::vector<OracleSignature> history = {
+      {{{kInnerA, kOuterSig}, {kInnerA, kOuterSig}, {kInnerB, kOuterSig}}, 1},
+  };
+  SeedHistory(rt, history);
+  ExpectAllSequencesMatchOracle(rt, history, 0x6000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Stripes, MatcherProperty,
