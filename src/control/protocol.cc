@@ -133,6 +133,7 @@ std::string DoStatus(Runtime& rt) {
   out << "signatures_disabled=" << disabled << "\n";
   out << "last_avoided=" << rt.engine().last_avoided_signature() << "\n";
   out << "avoidance_yields=" << engine.yields << "\n";
+  out << "yield_sleeps=" << engine.yield_sleeps << "\n";
   out << "lock_requests=" << engine.requests << "\n";
   out << "monitor_batches=" << monitor.batches << "\n";
   out << "deadlocks_detected=" << monitor.deadlocks_detected << "\n";
@@ -223,6 +224,7 @@ std::string DoStats(Runtime& rt) {
   out << "engine.yields=" << e.yields << "\n";
   out << "engine.wakes=" << e.wakes << "\n";
   out << "engine.yield_timeouts=" << e.yield_timeouts << "\n";
+  out << "engine.yield_sleeps=" << e.yield_sleeps << "\n";
   out << "engine.reentrant_acquisitions=" << e.reentrant_acquisitions << "\n";
   out << "engine.acquisitions=" << e.acquisitions << "\n";
   out << "engine.releases=" << e.releases << "\n";
@@ -427,6 +429,9 @@ std::string DoMetrics(Runtime& rt) {
   obs::AppendPromCounter(&out, "dimmunix_yield_timeouts_total",
                          "Yields released by the global avoidance time bound.",
                          e.yield_timeouts);
+  obs::AppendPromCounter(&out, "dimmunix_yield_sleeps_total",
+                         "Yields that outlived the spin and slept until woken.",
+                         e.yield_sleeps);
   obs::AppendPromCounter(&out, "dimmunix_trylock_cancels_total",
                          "Trylock requests canceled after a busy grant.", e.trylock_cancels);
   obs::AppendPromCounter(&out, "dimmunix_broken_acquisitions_total",

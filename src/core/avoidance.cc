@@ -603,7 +603,7 @@ void AvoidanceEngine::RegisterYield(ThreadId thread, ThreadSlot& slot,
   }
   {
     std::lock_guard<std::mutex> park_guard(slot.park_m);
-    slot.wake_pending = false;
+    slot.wake_pending.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -1152,7 +1152,7 @@ void AvoidanceEngine::WakeYieldersOf(ThreadId thread, LockId lock, StackId stack
     }
     if (matches) {
       std::lock_guard<std::mutex> park_guard(yslot.park_m);
-      yslot.wake_pending = true;
+      yslot.wake_pending.store(true, std::memory_order_release);
       yslot.park_cv.notify_all();
     }
   }
@@ -1216,7 +1216,7 @@ void AvoidanceEngine::BreakYield(ThreadId thread) {
   ThreadSlot& slot = registry_.Slot(thread);
   slot.skip_avoidance_once.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> park_guard(slot.park_m);
-  slot.wake_pending = true;
+  slot.wake_pending.store(true, std::memory_order_release);
   slot.park_cv.notify_all();
 }
 
@@ -1403,26 +1403,38 @@ void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId
 }
 
 int AvoidanceEngine::Park(ThreadSlot& slot, std::optional<MonoTime> deadline) {
-  std::unique_lock<std::mutex> park_guard(slot.park_m);
   MonoTime bound = Now() + config_.yield_timeout;
   bool deadline_is_nearest = false;
   if (deadline.has_value() && *deadline < bound) {
     bound = *deadline;
     deadline_is_nearest = true;
   }
-  while (!slot.wake_pending) {
+  // The hold a yielder waits on usually ends within the spin budget; a wake
+  // (or a cancel) seen here skips the condvar sleep and its futex wake-up.
+  // Either way the decision below is made under park_m, as for a sleeper.
+  SpinUntil(bound, [&slot] {
+    return slot.wake_pending.load(std::memory_order_acquire) ||
+           slot.acquisition_canceled.load(std::memory_order_relaxed);
+  });
+  std::unique_lock<std::mutex> park_guard(slot.park_m);
+  bool slept = false;
+  while (!slot.wake_pending.load(std::memory_order_relaxed)) {
     if (slot.acquisition_canceled.load(std::memory_order_acquire)) {
       slot.acquisition_canceled.store(false, std::memory_order_release);
       return 2;
     }
+    if (!slept) {
+      slept = true;
+      stats_.yield_sleeps.fetch_add(1, std::memory_order_relaxed);
+    }
     if (slot.park_cv.wait_until(park_guard, bound) == std::cv_status::timeout) {
-      if (!slot.wake_pending) {
+      if (!slot.wake_pending.load(std::memory_order_relaxed)) {
         return deadline_is_nearest ? 3 : 1;
       }
       break;
     }
   }
-  slot.wake_pending = false;
+  slot.wake_pending.store(false, std::memory_order_relaxed);
   return 0;
 }
 

@@ -25,6 +25,14 @@
 //  * yield set          — a dedicated small lock (yield_m_); releasers skip
 //                         it entirely while no thread is yielding.
 //
+// A yielding thread waits for lock conditions to change (§5.4) in two
+// steps (Park): it first spins for at most kSpinBudget on its slot's atomic
+// wake flag, which a releaser sets under park_m, and only then sleeps on
+// park_cv. The holds that yields wait on mostly end within the spin, so
+// the common yield costs no futex wake-up or context switch; a yield that
+// outlives the spin (EngineStats::yield_sleeps) parks exactly as before,
+// and wakers are the same either way.
+//
 // A hot-path operation holds at most one stripe lock at a time. The only
 // paths that need a consistent cross-stripe view take the "stop-the-
 // stripes" epoch — every slot stripe in ascending order: the authoritative
@@ -129,9 +137,10 @@ class AvoidanceEngine {
   // engine semantics.
 
   // Blocking request: decides GO vs YIELD against the history; on YIELD the
-  // calling thread is parked and the request transparently retried after
-  // wake-up. Returns only with a final decision. `deadline` (optional)
-  // bounds the total time spent yielding (used by timed lock acquisition).
+  // calling thread waits in Park (spin, then sleep) and the request is
+  // transparently retried after wake-up. Returns only with a final
+  // decision. `deadline` (optional) bounds the total time spent yielding
+  // (used by timed lock acquisition).
   RequestDecision Request(ThreadId thread, LockId lock,
                           AcquireMode mode = AcquireMode::kExclusive,
                           std::optional<MonoTime> deadline = std::nullopt);
@@ -613,7 +622,10 @@ class AvoidanceEngine {
   // out cancelling pairs, and flushes on overflow. See FlushThreadEvents.
   void BufferHotEvent(ThreadSlot& slot, Event&& ev);
 
-  // Parks the calling thread until woken, canceled, or timed out.
+  // Waits until woken, canceled, or timed out: spins (SpinUntil) on
+  // wake_pending and the cancel flag, then sleeps on park_cv if neither came,
+  // counting the sleep in yield_sleeps. The spin stops at the yield bound
+  // or `deadline` like the sleep does.
   // Returns: 0 woken, 1 timeout(yield bound), 2 broken, 3 deadline.
   int Park(ThreadSlot& slot, std::optional<MonoTime> deadline);
   // Wakes every yielder whose causes include (thread, lock, stack). Takes

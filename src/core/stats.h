@@ -29,6 +29,7 @@ struct EngineStatsSnapshot {
   std::uint64_t yields = 0;
   std::uint64_t wakes = 0;
   std::uint64_t yield_timeouts = 0;
+  std::uint64_t yield_sleeps = 0;
   std::uint64_t reentrant_acquisitions = 0;
   std::uint64_t acquisitions = 0;
   std::uint64_t releases = 0;
@@ -65,6 +66,9 @@ struct EngineStats {
   ShardedCounter yields;
   ShardedCounter wakes;
   ShardedCounter yield_timeouts;
+  // Yields whose wake did not come within the spin budget, so the thread
+  // slept on its parking-lot condvar (AvoidanceEngine::Park).
+  ShardedCounter yield_sleeps;
   ShardedCounter reentrant_acquisitions;
   ShardedCounter acquisitions;
   ShardedCounter releases;
@@ -100,6 +104,7 @@ struct EngineStats {
     s.yields = yields.load(std::memory_order_relaxed);
     s.wakes = wakes.load(std::memory_order_relaxed);
     s.yield_timeouts = yield_timeouts.load(std::memory_order_relaxed);
+    s.yield_sleeps = yield_sleeps.load(std::memory_order_relaxed);
     s.reentrant_acquisitions = reentrant_acquisitions.load(std::memory_order_relaxed);
     s.acquisitions = acquisitions.load(std::memory_order_relaxed);
     s.releases = releases.load(std::memory_order_relaxed);

@@ -35,9 +35,11 @@ struct alignas(64) ThreadSlot {
   std::uint64_t os_tid = 0;
 
   // --- Parking lot (yield implementation; §6 yieldLock[T]) -----------------
+  // Wakers set wake_pending under park_m and notify park_cv; the parked
+  // thread polls it without park_m during its spin (AvoidanceEngine::Park).
   std::mutex park_m;
   std::condition_variable park_cv;
-  bool wake_pending = false;  // guarded by park_m
+  std::atomic<bool> wake_pending{false};
 
   // --- Avoidance state -------------------------------------------------------
   // yield_causes/yielding are guarded by the engine's yield-set lock (they
@@ -80,9 +82,9 @@ struct alignas(64) ThreadSlot {
   std::atomic<const void*> sig_gen_hazard{nullptr};
 
   // --- Deadlock-recovery support --------------------------------------------
-  // The sync layer registers a canceler while blocked on the underlying
+  // The sync layer registers a canceler while it sleeps on the underlying
   // mutex, so the monitor can break a deadlock victim out (guarded by
-  // canceler_m).
+  // canceler_m). Before that sleep it polls acquisition_canceled itself.
   std::mutex canceler_m;
   std::function<void()> acquisition_canceler;
   std::atomic<bool> acquisition_canceled{false};

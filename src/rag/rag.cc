@@ -189,7 +189,12 @@ std::vector<DeadlockCycle> Rag::DetectDeadlocks() {
     auto push = [&](ThreadId tid) {
       Frame frame;
       frame.thread = tid;
-      AppendWaitSuccessors(tid, &frame.succs);
+      // A yielder waits through its yield edges, not on its lock: a cycle
+      // through its request edge is induced starvation, which
+      // DetectStarvations reports, not a deadlock.
+      if (auto node = threads_.find(tid); node == threads_.end() || node->second.yields.empty()) {
+        AppendWaitSuccessors(tid, &frame.succs);
+      }
       gray.emplace(tid, path.size());
       path.push_back(std::move(frame));
     };

@@ -16,7 +16,9 @@
 // a count and becomes available only after as many releases as acquisitions.
 //
 // Detection (§5.2):
-//  * deadlock  — a cycle made up exclusively of hold/allow/request edges.
+//  * deadlock  — a cycle made up exclusively of hold/allow/request edges,
+//    where a yielding thread's request edge does not count: that thread
+//    waits through its yield edges, so a cycle through it is starvation.
 //    The thread-level wait-for projection follows a waiter to every
 //    *conflicting* holder of its waited lock: an exclusive request
 //    conflicts with every holder, a shared request only with an exclusive

@@ -1,6 +1,7 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// Private to the raw primitives (raw_mutex.cc, raw_shared_mutex.cc).
+// Private to the raw primitives (raw_mutex.cc, raw_shared_mutex.cc) and to
+// tests/sync/spin_wait_test.cc, which drives its phases directly.
 
 #ifndef DIMMUNIX_SYNC_CANCELLABLE_WAIT_H_
 #define DIMMUNIX_SYNC_CANCELLABLE_WAIT_H_
@@ -15,18 +16,57 @@
 
 namespace dimmunix {
 
-// The one wait loop under every cancellable or timed raw acquisition
-// (RawMutex and both sides of RawSharedMutex). `try_grant` runs under `m`
-// and takes the lock when it is free; until it does, the thread waits on
-// `cv` (until `deadline`, when one is given) while the canceler registered
-// in `slot` lets the engine's CancelAcquisition break it out. A deadline
-// that passes gets one last grant attempt.
-template <typename TryGrant>
-WaitOutcome CancellableWait(std::mutex& m, std::condition_variable& cv, ThreadSlot& slot,
-                            std::optional<MonoTime> deadline, TryGrant try_grant) {
-  {
-    std::lock_guard<std::mutex> c(slot.canceler_m);
-    slot.acquisition_canceler = [&m, &cv] {
+// The one wait under every blocking raw acquisition (RawMutex and both
+// sides of RawSharedMutex). `try_grant` runs under `m` and takes the lock
+// when it is free; `grantable` is its lock-free hint, read from atomic
+// copies of the lock state that are written under `m`.
+//
+// Three phases, each entered only when the one before it failed:
+//   1. one grant attempt under `m` — the uncontended acquire reads no clock
+//      and registers nothing;
+//   2. a bounded spin (SpinUntil) on `grantable`, then one more attempt;
+//   3. the condvar wait: the canceler registered in `slot` lets the engine's
+//      CancelAcquisition break it out, and a deadline that passes gets one
+//      last grant attempt.
+// A cancellation pending in `slot` (or raised during the spin) is honoured
+// before every grant attempt. Without a slot (`Lock`), nothing cancels.
+template <typename TryGrant, typename Grantable>
+WaitOutcome CancellableWait(std::mutex& m, std::condition_variable& cv, ThreadSlot* slot,
+                            std::optional<MonoTime> deadline, TryGrant try_grant,
+                            Grantable grantable) {
+  const auto take_cancel = [slot] {
+    if (slot == nullptr || !slot->acquisition_canceled.load(std::memory_order_acquire)) {
+      return false;
+    }
+    slot->acquisition_canceled.store(false, std::memory_order_release);
+    return true;
+  };
+  const auto attempt = [&]() -> std::optional<WaitOutcome> {
+    if (take_cancel()) {
+      return WaitOutcome::kCanceled;
+    }
+    std::lock_guard<std::mutex> guard(m);
+    if (try_grant()) {
+      return WaitOutcome::kAcquired;
+    }
+    return std::nullopt;
+  };
+  if (std::optional<WaitOutcome> outcome = attempt()) {
+    return *outcome;
+  }
+  const bool spin_ended_early = SpinUntil(deadline, [&] {
+    return grantable() ||
+           (slot != nullptr && slot->acquisition_canceled.load(std::memory_order_relaxed));
+  });
+  if (spin_ended_early) {
+    if (std::optional<WaitOutcome> outcome = attempt()) {
+      return *outcome;
+    }
+  }
+
+  if (slot != nullptr) {
+    std::lock_guard<std::mutex> c(slot->canceler_m);
+    slot->acquisition_canceler = [&m, &cv] {
       std::lock_guard<std::mutex> guard(m);
       cv.notify_all();
     };
@@ -35,8 +75,7 @@ WaitOutcome CancellableWait(std::mutex& m, std::condition_variable& cv, ThreadSl
   {
     std::unique_lock<std::mutex> guard(m);
     for (;;) {
-      if (slot.acquisition_canceled.load(std::memory_order_acquire)) {
-        slot.acquisition_canceled.store(false, std::memory_order_release);
+      if (take_cancel()) {
         outcome = WaitOutcome::kCanceled;
         break;
       }
@@ -52,9 +91,9 @@ WaitOutcome CancellableWait(std::mutex& m, std::condition_variable& cv, ThreadSl
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> c(slot.canceler_m);
-    slot.acquisition_canceler = nullptr;
+  if (slot != nullptr) {
+    std::lock_guard<std::mutex> c(slot->canceler_m);
+    slot->acquisition_canceler = nullptr;
   }
   return outcome;
 }

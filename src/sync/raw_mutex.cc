@@ -7,21 +7,22 @@
 namespace dimmunix {
 
 bool RawMutex::TryGrantLocked() {
-  if (locked_) {
+  if (locked_.load(std::memory_order_relaxed)) {
     return false;
   }
-  locked_ = true;
+  locked_.store(true, std::memory_order_relaxed);
   owner_ = std::this_thread::get_id();
   return true;
 }
 
 void RawMutex::Lock() {
-  std::unique_lock<std::mutex> guard(m_);
-  cv_.wait(guard, [this] { return TryGrantLocked(); });
+  (void)CancellableWait(m_, cv_, nullptr, std::nullopt, [this] { return TryGrantLocked(); },
+                        [this] { return !locked_.load(std::memory_order_relaxed); });
 }
 
 WaitOutcome RawMutex::Acquire(ThreadSlot& slot, std::optional<MonoTime> deadline) {
-  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantLocked(); });
+  return CancellableWait(m_, cv_, &slot, deadline, [this] { return TryGrantLocked(); },
+                         [this] { return !locked_.load(std::memory_order_relaxed); });
 }
 
 bool RawMutex::TryLock() {
@@ -32,7 +33,7 @@ bool RawMutex::TryLock() {
 void RawMutex::Unlock() {
   {
     std::lock_guard<std::mutex> guard(m_);
-    locked_ = false;
+    locked_.store(false, std::memory_order_relaxed);
     owner_ = std::thread::id{};
   }
   cv_.notify_one();
@@ -40,7 +41,7 @@ void RawMutex::Unlock() {
 
 bool RawMutex::OwnedByCurrentThread() const {
   std::lock_guard<std::mutex> guard(m_);
-  return locked_ && owner_ == std::this_thread::get_id();
+  return locked_.load(std::memory_order_relaxed) && owner_ == std::this_thread::get_id();
 }
 
 }  // namespace dimmunix

@@ -9,24 +9,30 @@
 namespace dimmunix {
 
 bool RawSharedMutex::TryGrantExclusiveLocked() {
-  if (writer_ || !readers_.empty()) {
+  if (writer_.load(std::memory_order_relaxed) || !readers_.empty()) {
     return false;
   }
-  writer_ = true;
+  writer_.store(true, std::memory_order_relaxed);
   writer_id_ = std::this_thread::get_id();
   return true;
 }
 
 bool RawSharedMutex::TryGrantSharedLocked() {
-  if (writer_) {
+  if (writer_.load(std::memory_order_relaxed)) {
     return false;
   }
   readers_.push_back(std::this_thread::get_id());
+  reader_count_.store(readers_.size(), std::memory_order_relaxed);
   return true;
 }
 
 WaitOutcome RawSharedMutex::AcquireExclusive(ThreadSlot& slot, std::optional<MonoTime> deadline) {
-  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantExclusiveLocked(); });
+  return CancellableWait(
+      m_, cv_, &slot, deadline, [this] { return TryGrantExclusiveLocked(); },
+      [this] {
+        return !writer_.load(std::memory_order_relaxed) &&
+               reader_count_.load(std::memory_order_relaxed) == 0;
+      });
 }
 
 bool RawSharedMutex::TryLockExclusive() {
@@ -37,14 +43,16 @@ bool RawSharedMutex::TryLockExclusive() {
 void RawSharedMutex::UnlockExclusive() {
   {
     std::lock_guard<std::mutex> guard(m_);
-    writer_ = false;
+    writer_.store(false, std::memory_order_relaxed);
     writer_id_ = std::thread::id{};
   }
   cv_.notify_all();
 }
 
 WaitOutcome RawSharedMutex::AcquireShared(ThreadSlot& slot, std::optional<MonoTime> deadline) {
-  return CancellableWait(m_, cv_, slot, deadline, [this] { return TryGrantSharedLocked(); });
+  return CancellableWait(
+      m_, cv_, &slot, deadline, [this] { return TryGrantSharedLocked(); },
+      [this] { return !writer_.load(std::memory_order_relaxed); });
 }
 
 bool RawSharedMutex::TryLockShared() {
@@ -59,6 +67,7 @@ void RawSharedMutex::UnlockShared() {
     auto it = std::find(readers_.begin(), readers_.end(), me);
     if (it != readers_.end()) {
       readers_.erase(it);
+      reader_count_.store(readers_.size(), std::memory_order_relaxed);
     }
   }
   cv_.notify_all();
@@ -66,7 +75,7 @@ void RawSharedMutex::UnlockShared() {
 
 bool RawSharedMutex::ExclusiveOwnedByCurrentThread() const {
   std::lock_guard<std::mutex> guard(m_);
-  return writer_ && writer_id_ == std::this_thread::get_id();
+  return writer_.load(std::memory_order_relaxed) && writer_id_ == std::this_thread::get_id();
 }
 
 bool RawSharedMutex::SharedOwnedByCurrentThread() const {

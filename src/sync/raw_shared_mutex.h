@@ -2,9 +2,11 @@
 //
 // The uninstrumented reader-writer lock under every dimmunix::SharedMutex —
 // the shared-mode counterpart of RawMutex, built on the same cancellable
-// wait loop (CancellableWait, src/sync/cancellable_wait.h) so acquisitions stay
-// cancellable (deadlock recovery can break a blocked writer or reader out)
-// and timed variants compose with the engine's yield logic.
+// wait (CancellableWait, src/sync/cancellable_wait.h) so acquisitions stay
+// cancellable (deadlock recovery can break a blocked writer or reader out),
+// timed variants compose with the engine's yield logic, and a short wait
+// ends in a bounded spin on atomic copies of the writer flag and the reader
+// count instead of a condvar sleep.
 //
 // Semantics match pthread_rwlock without writer preference: a writer waits
 // until there is no writer and no readers; a reader waits only while a
@@ -16,7 +18,9 @@
 #ifndef DIMMUNIX_SYNC_RAW_SHARED_MUTEX_H_
 #define DIMMUNIX_SYNC_RAW_SHARED_MUTEX_H_
 
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -54,9 +58,12 @@ class RawSharedMutex {
 
   mutable std::mutex m_;
   std::condition_variable cv_;
-  bool writer_ = false;
+  // writer_ and reader_count_ are written under m_ only; the spin reads
+  // them without it.
+  std::atomic<bool> writer_{false};
   std::thread::id writer_id_{};
   std::vector<std::thread::id> readers_;  // one entry per read hold (recursion)
+  std::atomic<std::size_t> reader_count_{0};  // readers_.size()
 };
 
 }  // namespace dimmunix

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <latch>
 #include <thread>
 
@@ -220,6 +222,7 @@ TEST(AvoidanceTest, YieldTimeoutRecordsAbortAndAutoDisables) {
     other.join();
   }
   EXPECT_EQ(rt.engine().stats().yield_timeouts.load(), 2u);
+  EXPECT_EQ(rt.engine().stats().yield_sleeps.load(), 2u) << "both yields outlived the spin";
   EXPECT_EQ(rt.history().Get(index).abort_count, 2u);
   EXPECT_TRUE(rt.history().Get(index).disabled);
   EXPECT_EQ(rt.engine().stats().signatures_disabled.load(), 1u);
@@ -297,6 +300,104 @@ TEST(AvoidanceTest, CancelAcquisitionBreaksAParkedYielder) {
   other.join();
   EXPECT_TRUE(broken.load());
   EXPECT_GE(rt.engine().stats().broken_acquisitions.load(), 1u);
+}
+
+// --- The spin before the park ---------------------------------------------------
+//
+// Park spins for kSpinBudget on the wake and cancel flags before it sleeps.
+// Each round parks a fresh yielder (it requests 200 @reqB while main holds
+// 100 @holdA) and ends the yield with `end_yield(yielder)` 2 µs after the
+// yield is counted: the waker busy-polls, so the end lands after Park began
+// and inside its spin, unless the host preempts the waker or the waker's
+// path outlasts the spin (a release under TSan does, in most rounds).
+// Without the spin such a wake would always find the yielder asleep. Every
+// round's decision must be `expected`; rounds repeat until one ended
+// without a sleep (yield_sleeps unchanged). Returns whether one did.
+bool EndYieldDuringSpin(Runtime& rt, const std::function<void(ThreadId)>& end_yield,
+                        RequestDecision expected) {
+  SeedSignature(rt, "holdA", "reqB");
+  const ThreadId main_tid = rt.RegisterCurrentThread();
+  for (int round = 0; round < 1000; ++round) {
+    if (rt.engine().LockOwner(100) != main_tid) {
+      ScopedFrame frame(FrameFromName("holdA"));
+      EXPECT_EQ(rt.engine().Request(main_tid, 100), RequestDecision::kGo);
+      rt.engine().Acquired(main_tid, 100);
+    }
+    const std::uint64_t yields_before = rt.engine().stats().yields.load();
+    const std::uint64_t sleeps_before = rt.engine().stats().yield_sleeps.load();
+    std::atomic<ThreadId> yielder{kInvalidThreadId};
+    std::thread other([&] {
+      const ThreadId tid = rt.RegisterCurrentThread();
+      yielder.store(tid);
+      ScopedFrame frame(FrameFromName("reqB"));
+      const RequestDecision decision = rt.engine().Request(tid, 200);
+      EXPECT_EQ(decision, expected);
+      if (decision == RequestDecision::kGo) {
+        rt.engine().Acquired(tid, 200);
+        rt.engine().Release(tid, 200);
+      }
+    });
+    while (rt.engine().stats().yields.load() == yields_before) {
+    }
+    BusySpinMicros(2);
+    end_yield(yielder.load());
+    other.join();
+    if (rt.engine().stats().yield_sleeps.load() == sleeps_before) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool HostSpins() { return std::thread::hardware_concurrency() > 1; }
+
+TEST(AvoidanceTest, WakeDuringTheSpinReturnsWoken) {
+  Runtime rt(TestConfig());
+  const ThreadId main_tid = rt.RegisterCurrentThread();
+  // The cause's release wakes the yielder, which then goes.
+  const bool in_spin = EndYieldDuringSpin(
+      rt, [&](ThreadId) { rt.engine().Release(main_tid, 100); }, RequestDecision::kGo);
+  EXPECT_TRUE(in_spin || !HostSpins()) << "no wake landed in the spin in 1000 rounds";
+  EXPECT_EQ(rt.engine().stats().wakes.load(), rt.engine().stats().yields.load());
+}
+
+TEST(AvoidanceTest, BreakYieldDuringTheSpinReturnsWoken) {
+  Runtime rt(TestConfig());
+  const bool in_spin = EndYieldDuringSpin(
+      rt, [&](ThreadId yielder) { rt.engine().BreakYield(yielder); }, RequestDecision::kGo);
+  EXPECT_TRUE(in_spin || !HostSpins()) << "no BreakYield landed in the spin in 1000 rounds";
+}
+
+TEST(AvoidanceTest, CancelDuringTheSpinIsBroken) {
+  Runtime rt(TestConfig());
+  const std::uint64_t broken_before = rt.engine().stats().broken_acquisitions.load();
+  const bool in_spin = EndYieldDuringSpin(
+      rt, [&](ThreadId yielder) { rt.engine().CancelAcquisition(yielder); },
+      RequestDecision::kBroken);
+  EXPECT_TRUE(in_spin || !HostSpins()) << "no cancel landed in the spin in 1000 rounds";
+  EXPECT_GT(rt.engine().stats().broken_acquisitions.load(), broken_before);
+}
+
+TEST(AvoidanceTest, DeadlineShorterThanTheSpinBudgetTimesOut) {
+  Runtime rt(TestConfig());
+  SeedSignature(rt, "holdA", "reqB");
+  const ThreadId main_tid = rt.RegisterCurrentThread();
+  {
+    ScopedFrame frame(FrameFromName("holdA"));
+    ASSERT_EQ(rt.engine().Request(main_tid, 100), RequestDecision::kGo);
+    rt.engine().Acquired(main_tid, 100);
+  }
+  std::thread other([&] {
+    const ThreadId tid = rt.RegisterCurrentThread();
+    ScopedFrame frame(FrameFromName("reqB"));
+    const MonoTime deadline = Now() + kSpinBudget / 5;
+    EXPECT_EQ(rt.engine().Request(tid, 200, AcquireMode::kExclusive, deadline),
+              RequestDecision::kTimedOut);
+    EXPECT_GE(Now(), deadline);
+  });
+  other.join();
+  EXPECT_EQ(rt.engine().stats().yields.load(), 1u);
+  EXPECT_EQ(rt.engine().stats().yield_timeouts.load(), 0u) << "the deadline, not the bound";
 }
 
 TEST(AvoidanceTest, AllowedSetBookkeeping) {

@@ -163,6 +163,62 @@ TEST(MonitorTest, StarvationWeakImmunityBreaksVictim) {
   EXPECT_EQ(rt.history().Get(0).kind, SignatureKind::kStarvation);
 }
 
+// The event shape the engine emits for a thread: kAcquired for a hold,
+// kAllow for a GO it now blocks on, kRequest then kYield for a yield.
+Event MakeTestEvent(EventType type, ThreadId thread, LockId lock, StackId stack,
+                    std::vector<YieldCause> causes = {}) {
+  Event event;
+  event.type = type;
+  event.thread = thread;
+  event.lock = lock;
+  event.stack = stack;
+  event.causes = std::move(causes);
+  return event;
+}
+
+TEST(MonitorTest, YieldCycleIsStarvationNotDeadlock) {
+  Runtime rt(TestConfig());
+  const StackId sa = rt.stacks().Intern({FrameFromName("yieldCycleA")});
+  const StackId sb = rt.stacks().Intern({FrameFromName("yieldCycleB")});
+  rt.events().Push(MakeTestEvent(EventType::kAcquired, 0, 100, sa));
+  rt.events().Push(MakeTestEvent(EventType::kAcquired, 1, 200, sb));
+  rt.events().Push(MakeTestEvent(EventType::kRequest, 0, 200, sa));
+  rt.events().Push(MakeTestEvent(EventType::kYield, 0, 200, sa, {YieldCause{1, 200, sb}}));
+  rt.events().Push(MakeTestEvent(EventType::kRequest, 1, 100, sb));
+  rt.events().Push(MakeTestEvent(EventType::kYield, 1, 100, sb, {YieldCause{0, 100, sa}}));
+
+  rt.monitor().RunOnce();
+  EXPECT_EQ(rt.monitor().stats().deadlocks_detected.load(), 0u);
+  EXPECT_EQ(rt.monitor().stats().starvations_detected.load(), 1u);
+  ASSERT_EQ(rt.history().size(), 1u);
+  EXPECT_EQ(rt.history().Get(0).kind, SignatureKind::kStarvation);
+}
+
+TEST(MonitorTest, YielderBehindBlockedThreadIsStarvationUntilItsYieldIsBroken) {
+  Runtime rt(TestConfig());
+  const StackId sa = rt.stacks().Intern({FrameFromName("mixedA")});
+  const StackId sb = rt.stacks().Intern({FrameFromName("mixedB")});
+  rt.events().Push(MakeTestEvent(EventType::kAcquired, 0, 100, sa));
+  rt.events().Push(MakeTestEvent(EventType::kAcquired, 1, 200, sb));
+  rt.events().Push(MakeTestEvent(EventType::kAllow, 0, 200, sa));  // T0 blocks on B
+  rt.events().Push(MakeTestEvent(EventType::kRequest, 1, 100, sb));
+  rt.events().Push(MakeTestEvent(EventType::kYield, 1, 100, sb, {YieldCause{0, 100, sa}}));
+
+  rt.monitor().RunOnce();
+  EXPECT_EQ(rt.monitor().stats().deadlocks_detected.load(), 0u);
+  EXPECT_EQ(rt.monitor().stats().starvations_detected.load(), 1u);
+
+  // The broken yield is retried as a GO: the avoided deadlock, now real,
+  // is detected on the next pass and its signature holds the hold stacks.
+  rt.events().Push(MakeTestEvent(EventType::kWake, 1, 100, sb));
+  rt.events().Push(MakeTestEvent(EventType::kAllow, 1, 100, sb));
+  rt.monitor().RunOnce();
+  EXPECT_EQ(rt.monitor().stats().deadlocks_detected.load(), 1u);
+  EXPECT_EQ(rt.monitor().stats().starvations_detected.load(), 1u);
+  ASSERT_EQ(rt.history().size(), 2u);
+  EXPECT_EQ(rt.history().Get(1).kind, SignatureKind::kDeadlock);
+}
+
 TEST(MonitorTest, StarvationStrongImmunityRequestsRestart) {
   Config config = TestConfig();
   config.immunity = ImmunityMode::kStrong;

@@ -30,6 +30,7 @@ TEST(StatsTest, SnapshotCopiesEveryCounter) {
   engine.signatures_disabled.store(11);
   engine.depth_true_yields.store(12);
   engine.depth_fp_yields.store(13);
+  engine.yield_sleeps.store(14);
   const EngineStatsSnapshot e = engine.Snapshot();
   EXPECT_EQ(e.requests, 1u);
   EXPECT_EQ(e.gos, 2u);
@@ -43,6 +44,7 @@ TEST(StatsTest, SnapshotCopiesEveryCounter) {
   EXPECT_EQ(e.broken_acquisitions, 10u);
   EXPECT_EQ(e.signatures_disabled, 11u);
   EXPECT_EQ(e.depth_true_yields, 12u);
+  EXPECT_EQ(e.yield_sleeps, 14u);
   EXPECT_EQ(e.depth_fp_yields, 13u);
 
   MonitorStats monitor;

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <latch>
 #include <thread>
 
@@ -91,20 +92,29 @@ void RunChoreography(Runtime& rt) {
   });
   t1.join();
   t2.join();
-  // The monitor pass that broke the cycle counts the starvation after its
-  // deadlock handler has already let both threads unwind; a pass of our own
-  // waits for that one to finish (the monitor serializes passes).
-  rt.monitor().RunOnce();
+}
+
+// Adds to *out the deadlocks the monitor had reported when it found each
+// starvation. A yield cycle is not a deadlock, so this stays 0; the deadlock
+// that breaking the yield leads to comes in a later pass. `out` must outlive
+// `rt` (the monitor's shutdown pass may still run the hook).
+void CountDeadlocksAtStarvation(Runtime& rt, std::atomic<std::uint64_t>* out) {
+  rt.monitor().SetStarvationHook([&rt, out](const StarvationCycle&, int) {
+    out->fetch_add(rt.monitor().stats().deadlocks_detected.load());
+  });
 }
 
 TEST(StarvationTest, InducedStarvationIsDetectedSavedAndBroken) {
+  std::atomic<std::uint64_t> deadlocks_at_starvation{0};
   Runtime rt(StarvationConfig());
   SeedSignature(rt);
+  CountDeadlocksAtStarvation(rt, &deadlocks_at_starvation);
   RunChoreography(rt);
 
   const auto& mstats = rt.monitor().stats();
   EXPECT_GE(rt.engine().stats().yields.load(), 1u);
   EXPECT_GE(mstats.starvations_detected.load(), 1u);
+  EXPECT_EQ(deadlocks_at_starvation.load(), 0u);
   EXPECT_GE(mstats.starvations_broken.load(), 1u);
   // The starvation signature is archived like a deadlock (§5.2).
   bool has_starvation_sig = false;
@@ -118,6 +128,7 @@ TEST(StarvationTest, InducedStarvationIsDetectedSavedAndBroken) {
 }
 
 TEST(StarvationTest, StrongImmunityRequestsRestartOnStarvation) {
+  std::atomic<std::uint64_t> deadlocks_at_starvation{0};
   Config config = StarvationConfig();
   config.immunity = ImmunityMode::kStrong;
   Runtime rt(config);
@@ -133,10 +144,12 @@ TEST(StarvationTest, StrongImmunityRequestsRestartOnStarvation) {
       rt.engine().BreakYield(t);
     }
   });
+  CountDeadlocksAtStarvation(rt, &deadlocks_at_starvation);
   RunChoreography(rt);
   EXPECT_TRUE(restart.load());
   EXPECT_GE(rt.monitor().stats().restarts_requested.load(), 1u);
   EXPECT_GE(rt.monitor().stats().starvations_detected.load(), 1u);
+  EXPECT_EQ(deadlocks_at_starvation.load(), 0u);
 }
 
 }  // namespace

@@ -271,6 +271,62 @@ TEST_F(RagTest, WakeClearsYieldEdges) {
   EXPECT_TRUE(rag_.DetectStarvations().empty());
 }
 
+// --- Yield cycles are starvation, not deadlock ---------------------------------
+//
+// The engine pushes kRequest before kYield, so a yielder keeps a request
+// edge; deadlock search must not follow it (the yielder waits through its
+// yield edges), while starvation search does.
+
+TEST_F(RagTest, PureYieldCycleIsOneStarvationAndNoDeadlock) {
+  Acquire(1, 100, 10);
+  Acquire(2, 200, 20);
+  rag_.Apply(Ev(EventType::kRequest, 1, 200, 11));
+  rag_.Apply(YieldEv(1, 200, {{2, 200, 20}}));
+  rag_.Apply(Ev(EventType::kRequest, 2, 100, 21));
+  rag_.Apply(YieldEv(2, 100, {{1, 100, 10}}));
+  EXPECT_TRUE(rag_.DetectDeadlocks().empty());
+  EXPECT_EQ(rag_.DetectStarvations().size(), 1u);
+}
+
+TEST_F(RagTest, YielderBehindBlockedThreadIsStarvationThenDeadlockOnceBroken) {
+  Acquire(1, 100, 10);
+  Acquire(2, 200, 20);
+  Wait(1, 200, 11);  // T1 is blocked on B, which T2 holds
+  rag_.Apply(Ev(EventType::kRequest, 2, 100, 21));
+  rag_.Apply(YieldEv(2, 100, {{1, 100, 10}}));  // T2 yields on T1's hold of A
+  EXPECT_TRUE(rag_.DetectDeadlocks().empty());
+  auto starvations = rag_.DetectStarvations();
+  ASSERT_EQ(starvations.size(), 1u);
+  EXPECT_EQ(starvations[0].starved, 2);
+  EXPECT_EQ(starvations[0].break_victim, 2);  // the only yielder
+  // Breaking the yield lets T2 pursue A: now a real deadlock.
+  rag_.Apply(Ev(EventType::kWake, 2, 100, 21));
+  rag_.Apply(Ev(EventType::kAllow, 2, 100, 21));
+  auto cycles = rag_.DetectDeadlocks();
+  ASSERT_EQ(cycles.size(), 1u);
+  EXPECT_EQ(cycles[0].threads.size(), 2u);
+}
+
+TEST_F(RagTest, YieldEndingInTheSameBatchLeavesNoDeadlock) {
+  Acquire(1, 100, 10);
+  Acquire(2, 200, 20);
+  rag_.Apply(Ev(EventType::kRequest, 1, 200, 11));
+  rag_.Apply(YieldEv(1, 200, {{2, 200, 20}}));
+  rag_.Apply(Ev(EventType::kRequest, 2, 100, 21));
+  rag_.Apply(YieldEv(2, 100, {{1, 100, 10}}));
+  // Before the pass runs, T1's yield ends and its retry is granted: T1 now
+  // blocks on B while T2 still yields on T1.
+  rag_.Apply(Ev(EventType::kWake, 1, 200, 11));
+  rag_.Apply(Ev(EventType::kAllow, 1, 200, 11));
+  EXPECT_TRUE(rag_.DetectDeadlocks().empty());
+  auto starvations = rag_.DetectStarvations();
+  ASSERT_EQ(starvations.size(), 1u);
+  EXPECT_EQ(starvations[0].starved, 2);
+  // The next pass sees nothing new until a wait edge changes.
+  EXPECT_TRUE(rag_.DetectDeadlocks().empty());
+  EXPECT_TRUE(rag_.DetectStarvations().empty());
+}
+
 TEST_F(RagTest, ThreadExitReleasesHolds) {
   Acquire(1, 100, 10);
   rag_.Apply(Ev(EventType::kThreadExit, 1, 0, 0));
