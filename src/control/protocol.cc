@@ -138,9 +138,10 @@ std::string DoStatus(Runtime& rt) {
   out << "monitor_batches=" << monitor.batches << "\n";
   out << "deadlocks_detected=" << monitor.deadlocks_detected << "\n";
   out << "starvations_detected=" << monitor.starvations_detected << "\n";
-  // Stop-the-stripes accounting: with the incremental matcher the epoch is
-  // the rare slow path, so epoch_entries staying near zero under load is
-  // itself the tail-health signal; match_* show how cover searches routed.
+  // Stop-the-stripes accounting: only cache rebuilds and snapshots take the
+  // epoch, so epoch_entries staying near zero under load is itself the
+  // tail-health signal. match_fast_path counts cover searches;
+  // match_slow_path the decisions restarted on a newer cache generation.
   out << "epoch_entries=" << engine.epoch_entries << "\n";
   out << "epoch_stall_ns=" << engine.epoch_stall_ns << "\n";
   out << "epoch_hold_ns=" << engine.epoch_hold_ns << "\n";
@@ -446,7 +447,8 @@ std::string DoMetrics(Runtime& rt) {
   obs::AppendPromCounter(&out, "dimmunix_match_fast_path_total",
                          "Cover searches decided from per-stripe snapshots.", e.match_fast_path);
   obs::AppendPromCounter(&out, "dimmunix_match_slow_path_total",
-                         "Cover searches that fell back to the epoch.", e.match_slow_path);
+                         "Decisions restarted on a newer signature-cache generation.",
+                         e.match_slow_path);
   obs::AppendPromCounter(&out, "dimmunix_match_fast_retries_total",
                          "Fast-path cover validations that had to rescan.",
                          e.match_fast_retries);

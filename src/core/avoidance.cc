@@ -119,9 +119,8 @@ AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, Histo
 AvoidanceEngine::~AvoidanceEngine() = default;
 
 AvoidanceEngine::SlotEpochGuard::SlotEpochGuard(AvoidanceEngine& engine) : engine_(engine) {
-  // Epoch entry is rare — with the incremental matcher in front, only cache
-  // rebuilds, snapshots, and fast-path validation churn land here — so the
-  // wait and hold are *always* measured: the clock reads feed the
+  // Epoch entry is rare — only cache rebuilds and snapshots land here — so
+  // the wait and hold are *always* measured: the clock reads feed the
   // epoch_entries / epoch_stall_ns / epoch_hold_ns counters that
   // `dimctl status` reports with tracing off.
   const std::uint64_t wait_begin = obs::NowNs();
@@ -395,11 +394,11 @@ void AvoidanceEngine::RefreshGen() {
     retired_gens_.push_back(std::move(gen));
 
     // Reclaim superseded generations. Safe here because (a) we hold every
-    // stripe, so no AddTuple/RemoveTuple/MatchAndRetire holds an old
-    // pointer, and (b) lock-free readers pin theirs via a hazard slot —
-    // published seq_cst before re-validating against gen_, so a reader
-    // whose pointer was still current when it validated is visible to this
-    // scan (its publish precedes our gen_ store in the seq_cst order).
+    // stripe, so no AddTuple/RemoveTuple holds an old pointer, and (b)
+    // lock-free readers pin theirs via a hazard slot — published seq_cst
+    // before re-validating against gen_, so a reader whose pointer was still
+    // current when it validated is visible to this scan (its publish
+    // precedes our gen_ store in the seq_cst order).
     const SigGen* current = gen_.load(std::memory_order_relaxed);
     std::vector<const void*> hazards;
     const std::size_t threads = registry_.size();
@@ -452,7 +451,7 @@ bool AvoidanceEngine::CoverPositions(
 }
 
 bool AvoidanceEngine::FillPools(const SigGen& gen, const std::vector<std::size_t>& cands,
-                                FastScratch& scratch, bool lock_stripes) {
+                                FastScratch& scratch) {
   auto& pools = scratch.pools;
   if (pools.size() < cands.size()) {
     pools.resize(cands.size());
@@ -477,10 +476,7 @@ bool AvoidanceEngine::FillPools(const SigGen& gen, const std::vector<std::size_t
     for (const StackId id : slot_stripes_[s].live) {
       StackSlot* live_slot = stack_slots_.Get(static_cast<std::size_t>(id));
       if (live_slot->member_version != gen.version) {
-        if (lock_stripes) {
-          return false;
-        }
-        EnsureMemberships(id, live_slot, gen);
+        return false;
       }
       for (const std::uint32_t cls : live_slot->memberships) {
         for (const std::uint32_t pack : gen.classes[cls].positions) {
@@ -499,11 +495,8 @@ bool AvoidanceEngine::FillPools(const SigGen& gen, const std::vector<std::size_t
   };
   bool current = true;
   for (std::size_t s = 0; s <= slot_stripe_mask_ && current; ++s) {
-    std::unique_lock<SpinLock> guard(slot_stripes_[s].lock, std::defer_lock);
-    if (lock_stripes) {
-      guard.lock();
-      scratch.scan_versions[s] = slot_stripes_[s].version;
-    }
+    std::lock_guard<SpinLock> guard(slot_stripes_[s].lock);
+    scratch.scan_versions[s] = slot_stripes_[s].version;
     current = scan_stripe(s);
   }
   // Reset only the entries this call marked: cand_of stays all-clear
@@ -547,58 +540,14 @@ bool AvoidanceEngine::SearchCandidates(const SigGen& gen, const std::vector<std:
   return false;
 }
 
-std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::MatchAndRetire(
-    ThreadId thread, LockId lock, StackId stack, ThreadSlot& slot, bool yield_on_match) {
-  // The scratch's pools keep their capacity across searches, so the epoch
-  // below copies tuples without allocating once a thread has warmed up.
-  FastScratch& scratch = MatchScratch();
-  const bool upgrade = FindHeld(slot, lock) != nullptr;
-  StackSlot* own_slot = SlotFor(stack);
-  SlotEpochGuard epoch(*this);
-  // Cover-search span: how long the matcher held everyone else out looking
-  // for an instantiation. aux carries the matched signature (kNoMatchAux on
-  // a miss) so a Perfetto query can pin a convoy on one signature.
-  const std::uint64_t search_begin =
-      recorder_ != nullptr && recorder_->tracing() ? obs::NowNs() : 0;
-  const auto record_search = [&](std::int64_t matched_signature) {
-    if (search_begin != 0) {
-      const std::uint64_t end_ns = obs::NowNs();
-      recorder_->Span(obs::TraceEventType::kCoverSearch, end_ns, end_ns - search_begin,
-                      matched_signature < 0 ? obs::kNoMatchAux
-                                            : obs::SaturateAux(matched_signature));
-    }
-  };
-  // The generation cannot be republished while we hold every stripe.
-  const SigGen& gen = *CurrentGen();
-  auto& cands = scratch.cands;
-  EnsureMemberships(stack, own_slot, gen);
-  CollectCandidates(gen, upgrade ? nullptr : &own_slot->memberships, &cands);
-  MatchResult result;
-  if (cands.empty() || !FillPools(gen, cands, scratch, /*lock_stripes=*/false) ||
-      !SearchCandidates(gen, cands, scratch, thread, lock, &result)) {
-    record_search(-1);
-    return std::nullopt;
-  }
-  // Retire the tentative allow edge (the YIELD flips it into a request
-  // edge, §5.4) and — in blocking mode — register the yield while the
-  // epoch still excludes releasers: a releaser whose tuple we matched
-  // cannot finish removing it (and thus cannot scan the yield set)
-  // before we are registered, so its wake cannot be lost.
-  RemoveTupleLocked(StripeOf(stack), stack, own_slot, thread, lock, /*held=*/false);
-  if (yield_on_match) {
-    RegisterYield(thread, slot, result);
-  }
-  record_search(result.signature_index);
-  return result;
-}
-
-void AvoidanceEngine::RegisterYield(ThreadId thread, ThreadSlot& slot,
+void AvoidanceEngine::RegisterYield(const YieldCause& edge, ThreadSlot& slot,
                                     const MatchResult& result) {
   {
     std::lock_guard<SpinLock> yield_guard(yield_m_);
     slot.yielding = true;
     slot.yield_causes = result.others;
-    yielding_threads_.insert(thread);
+    slot.yield_edge = edge;
+    yielding_threads_.insert(edge.thread);
     yield_count_.fetch_add(1, std::memory_order_seq_cst);
   }
   {
@@ -616,7 +565,34 @@ void AvoidanceEngine::UnregisterYield(ThreadId thread, ThreadSlot& slot) {
   }
 }
 
-bool AvoidanceEngine::CoverStillStands(const MatchResult& result,
+bool AvoidanceEngine::NamesTuple(const std::vector<YieldCause>& causes, ThreadId thread,
+                                 LockId lock, StackId stack) {
+  for (const YieldCause& cause : causes) {
+    if (cause.thread == thread && cause.lock == lock &&
+        (cause.stack == stack || stack == kInvalidStackId)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool AvoidanceEngine::DefersTo(const YieldCause& cause, ThreadId thread, LockId lock,
+                               StackId stack) {
+  if (cause.thread <= thread) {
+    return false;
+  }
+  // Only registered local threads are in the yield set: a mirrored foreign
+  // tuple's owner never is, so it never qualifies.
+  std::lock_guard<SpinLock> yield_guard(yield_m_);
+  if (yielding_threads_.count(cause.thread) == 0) {
+    return false;
+  }
+  const ThreadSlot& peer = registry_.Slot(cause.thread);
+  return peer.yield_edge == cause && NamesTuple(peer.yield_causes, thread, lock, stack);
+}
+
+bool AvoidanceEngine::CoverStillStands(ThreadId thread, LockId lock, StackId stack,
+                                       const MatchResult& result,
                                        const std::vector<std::uint64_t>& scan_versions) {
   for (const YieldCause& cause : result.others) {
     StackSlot* slot = SlotFor(cause.stack);
@@ -635,33 +611,35 @@ bool AvoidanceEngine::CoverStillStands(const MatchResult& result,
         break;
       }
     }
-    if (!present) {
+    // Checked under the cause's stripe lock: a peer rolling back re-adds its
+    // tuple under this lock before it unregisters, so it cannot look absent
+    // and unregistered at once.
+    if (!present && !DefersTo(cause, thread, lock, stack)) {
       return false;
     }
   }
   return true;
 }
 
-AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
+AvoidanceEngine::MatchOutcome AvoidanceEngine::TryMatchIncremental(
     ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
     bool yield_on_match, const SigGen& gen, MatchResult* result) {
-  // Bounded validation churn: every retry means a matched tuple was retired
-  // mid-decision. Persistent churn is real contention on the instantiation
-  // itself, which only the epoch can arbitrate.
-  constexpr int kFastMatchAttempts = 3;
   // Scratch reuse matters beyond CPU time: every nanosecond spent here is
   // spent with the requester's tentative tuple live, and the window length
   // feeds quadratically into how often concurrent requesters see each other
   // as instantiation material.
   FastScratch& scratch = MatchScratch();
   const bool upgrade = FindHeld(slot, lock) != nullptr;
-  if (scratch.own_version != gen.version) {
-    // A rebuild republished since our add, seeding our tuple into `gen`
-    // under the epoch. Recompute the candidates from a fresh class list,
-    // leaving the slot's cache to the epoch path: none is authoritative.
+  // A rebuild published `gen` after our add. It seeded our tuple into its
+  // class counters under the epoch before publishing, so counter reads made
+  // now still follow our add: re-collect the candidates against `gen` from
+  // a fresh class list (the slot's own cache is written only under its
+  // stripe) and decide on `gen` like any other request.
+  const bool rebased = scratch.own_version != gen.version;
+  if (rebased) {
     const std::vector<std::uint32_t> classes = ComputeMemberships(stack, gen);
-    CollectCandidates(gen, upgrade ? nullptr : &classes, &scratch.cands);
-    return scratch.cands.empty() ? FastMatchOutcome::kNoMatch : FastMatchOutcome::kFallback;
+    CollectCandidates(gen, &classes, &scratch.own_cands);
+    scratch.own_version = gen.version;
   }
   std::uint64_t search_begin = 0;  // set lazily: trivial rejects skip the clock
   const auto record_search = [&](std::int64_t matched_signature) {
@@ -675,33 +653,37 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
   };
 
   scratch.scan_versions.assign(slot_stripe_mask_ + 1, 0);
-  for (int attempt = 0; attempt < kFastMatchAttempts; ++attempt) {
-    if (attempt > 0) {
+  for (bool retry = false;; retry = true) {
+    if (retry) {
       stats_.match_fast_retries.fetch_add(1, std::memory_order_relaxed);
+      if (scratch.own_version != gen.version) {
+        // The rollback's re-add recorded its candidates against a newer
+        // generation: decide on that one.
+        record_search(-1);
+        return MatchOutcome::kRestart;
+      }
     }
     // Candidate signatures: fully live ones the requester's slot can occupy,
-    // recorded by the AddTuple that preceded this attempt (the request's own,
-    // or the rollback below) — stale when a rebuild republished since. An
-    // upgrade re-evaluates every signature: its held shared tuple can stand
-    // in for the new edge.
-    if (scratch.own_version != gen.version) {
-      record_search(-1);
-      return FastMatchOutcome::kFallback;
-    }
+    // recorded right after the requester's own add (the request's, the
+    // rollback's below, or the re-base above). An upgrade re-evaluates every
+    // signature: its held shared tuple can stand in for the new edge.
     if (upgrade) {
       CollectCandidates(gen, nullptr, &scratch.cands);
     }
     const std::vector<std::size_t>& cands = upgrade ? scratch.cands : scratch.own_cands;
     if (cands.empty()) {
-      if (attempt == 0) {
+      if (!retry) {
         // Trivial reject (§5.6 common case): no scan ran, so no fast-path
         // counter tick and no match-duration sample — the histogram stays a
         // picture of real cover searches.
-        return FastMatchOutcome::kNoMatch;
+        return MatchOutcome::kNoMatch;
       }
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       record_search(-1);
-      return FastMatchOutcome::kNoMatch;
+      return MatchOutcome::kNoMatch;
+    }
+    if (!retry && rebased) {
+      stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
     }
     if (search_begin == 0 && recorder_ != nullptr && recorder_->timing()) {
       search_begin = obs::NowNs();
@@ -710,57 +692,47 @@ AvoidanceEngine::FastMatchOutcome AvoidanceEngine::TryMatchIncremental(
     // Copy every candidate position's live tuples, one stripe lock at a
     // time — never two, preserving the engine's single-stripe hot-path
     // invariant. A no-match over these copies is authoritative without
-    // validation: the requester's tentative tuple was added *before* this
-    // scan, so of two racing requesters at least one scan sees the other
-    // (add-before-scan litmus, header comment). A slot whose membership
-    // cache is stale w.r.t. the pinned generation means a rebuild
-    // republished mid-request; only the epoch path may recompute
-    // memberships (a recompute here would corrupt another generation's
-    // live counters), so the decision falls back.
-    if (!FillPools(gen, cands, scratch, /*lock_stripes=*/true)) {
+    // validation (add-before-scan, header comment). A live slot whose
+    // membership cache is not from `gen` can only mean a newer generation
+    // was published mid-request (a recompute here would corrupt another
+    // generation's live counters): restart the decision on it.
+    if (!FillPools(gen, cands, scratch)) {
       record_search(-1);
-      return FastMatchOutcome::kFallback;
+      return MatchOutcome::kRestart;
     }
 
     // Cover search on the private copies — same algorithm, zero shared
-    // state. First matching signature wins, mirroring MatchAndRetire.
+    // state. First matching signature wins.
     MatchResult local;
     if (!SearchCandidates(gen, cands, scratch, thread, lock, &local)) {
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       record_search(-1);
-      return FastMatchOutcome::kNoMatch;
+      return MatchOutcome::kNoMatch;
     }
 
-    // Commit: register the yield *before* retiring the allow edge, then
-    // validate the matched cover is still standing. Ordering argument for
-    // no lost wakes: if validation saw a cause tuple present, our stripe
-    // critical section precedes the releaser's removal of that tuple, so
-    // our (seq_cst) yield_count_ increment is visible to the releaser's
-    // post-removal yield_count_ check — it will take yield_m_ and wake us.
-    // Mutual validation by two requesters matched on each other's allow
-    // tuples cannot both succeed: each removes its own tuple before
-    // validating the other's, so the stripe-lock order forces one
-    // validation to observe an absent tuple and retry.
-    if (yield_on_match) {
-      RegisterYield(thread, slot, local);
-    }
+    // Commit: register *before* retiring the allow edge, then validate that
+    // the matched cover still stands (no-lost-wake and tie-break arguments,
+    // header comment). A nonblocking requester is registered only for this
+    // step, so a peer's tie-break sees it too; it unregisters before Decide
+    // wakes the yielders of its retired edge.
+    RegisterYield(YieldCause{thread, lock, stack, mode}, slot, local);
     RemoveTuple(stack, thread, lock, /*held=*/false);
-    if (CoverStillStands(local, scratch.scan_versions)) {
+    if (CoverStillStands(thread, lock, stack, local, scratch.scan_versions)) {
+      if (!yield_on_match) {
+        UnregisterYield(thread, slot);
+      }
       stats_.match_fast_path.fetch_add(1, std::memory_order_relaxed);
       *result = std::move(local);
       record_search(result->signature_index);
-      return FastMatchOutcome::kMatched;
+      return MatchOutcome::kMatched;
     }
     // A matched tuple was retired under us: roll back (re-adding our
-    // tentative tuple restores the add-before-scan protocol and records
-    // fresh candidates) and rescan.
+    // tentative tuple restores add-before-scan and records fresh
+    // candidates; it must precede the unregister, see CoverStillStands)
+    // and rescan.
     AddTuple(stack, AllowedTuple{thread, lock, false, mode}, &scratch);
-    if (yield_on_match) {
-      UnregisterYield(thread, slot);
-    }
+    UnregisterYield(thread, slot);
   }
-  record_search(-1);
-  return FastMatchOutcome::kFallback;
 }
 
 ThreadSlot& AvoidanceEngine::BeginRequest(ThreadId thread) {
@@ -803,26 +775,25 @@ void AvoidanceEngine::StageAllow(ThreadSlot& slot, ThreadId thread, LockId lock,
 std::optional<AvoidanceEngine::MatchResult> AvoidanceEngine::Decide(
     ThreadId thread, LockId lock, AcquireMode mode, StackId stack, ThreadSlot& slot,
     bool yield_on_match) {
-  // The hazard ref pins the generation (and its live counters) across the
-  // incremental scan, which embeds the §5.6 fast reject.
-  const SigGen* gen = AcquireGenRef(slot);
-  if (gen->version != history_->version()) {
+  MatchResult match;
+  MatchOutcome outcome;
+  do {
+    // The hazard ref pins the generation (and its live counters) across the
+    // incremental scan, which embeds the §5.6 fast reject. A restart re-pins
+    // the newer generation the scan ran into; each one consumes a rebuild.
+    const SigGen* gen = AcquireGenRef(slot);
+    if (gen->version != history_->version()) {
+      ReleaseGenRef(slot);
+      RefreshGen();
+      gen = AcquireGenRef(slot);
+    }
+    outcome = TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &match);
     ReleaseGenRef(slot);
-    RefreshGen();
-    gen = AcquireGenRef(slot);
+  } while (outcome == MatchOutcome::kRestart);
+  if (outcome == MatchOutcome::kNoMatch) {
+    return std::nullopt;
   }
-  MatchResult fast;
-  const FastMatchOutcome outcome =
-      TryMatchIncremental(thread, lock, mode, stack, slot, yield_on_match, *gen, &fast);
-  ReleaseGenRef(slot);
-  std::optional<MatchResult> match;
-  if (outcome == FastMatchOutcome::kMatched) {
-    match = std::move(fast);
-  } else if (outcome == FastMatchOutcome::kFallback) {
-    stats_.match_slow_path.fetch_add(1, std::memory_order_relaxed);
-    match = MatchAndRetire(thread, lock, stack, slot, yield_on_match);
-  }
-  if (match.has_value() && yield_count_.load(std::memory_order_seq_cst) > 0) {
+  if (yield_count_.load(std::memory_order_seq_cst) > 0) {
     // Our own allow edge was just retired (a YIELD flips it into a request
     // edge, a kBusy drops it): any thread whose matched cover named it is
     // parked on an instantiation that no longer stands. Wake it to re-decide
@@ -844,10 +815,15 @@ RequestDecision AvoidanceEngine::Request(ThreadId thread, LockId lock, AcquireMo
   GlobalEdgePublisher* pub = PublisherFor(lock);
   std::vector<Frame> captured;
   const StackId stack = CaptureStackId(*stacks_, pub, captured);
-  // A broken or timed-out request withdraws its published wait edge.
+  // A broken or timed-out request withdraws its published wait edge, and
+  // wakes any yielder that kept its yield on our retired allow edge (the
+  // tie-break, header comment): we will not re-add it.
   const auto abandon = [&](RequestDecision decision) {
     if (pub != nullptr) {
       pub->ClearWait(thread, lock);
+    }
+    if (yield_count_.load(std::memory_order_seq_cst) > 0) {
+      WakeYieldersOf(thread, lock, stack);
     }
     return decision;
   };
@@ -1050,9 +1026,9 @@ void AvoidanceEngine::RetireTuple(StackId stack, ThreadId thread, LockId lock, b
   // Lock conditions changed in a way that could let yielders make progress
   // (§5.1: "Dimmunix reschedules the paused thread T whenever lock
   // conditions change"). yield_count_ lets the common no-yielders case
-  // skip the yield-set lock: a yielder that matched this tuple registered
-  // before we could remove it (the match holds every stripe), and the
-  // removal above synchronizes with its registration.
+  // skip the yield-set lock: a yielder that validated this tuple present
+  // registered before that check, which precedes the removal above (no lost
+  // wake, header comment).
   if (yield_count_.load(std::memory_order_seq_cst) > 0) {
     WakeYieldersOf(thread, lock, stack);
   }
@@ -1142,15 +1118,7 @@ void AvoidanceEngine::WakeYieldersOf(ThreadId thread, LockId lock, StackId stack
   std::lock_guard<SpinLock> yield_guard(yield_m_);
   for (ThreadId yielder : yielding_threads_) {
     ThreadSlot& yslot = registry_.Slot(yielder);
-    bool matches = false;
-    for (const YieldCause& cause : yslot.yield_causes) {
-      if (cause.thread == thread && cause.lock == lock &&
-          (cause.stack == stack || stack == kInvalidStackId)) {
-        matches = true;
-        break;
-      }
-    }
-    if (matches) {
+    if (NamesTuple(yslot.yield_causes, thread, lock, stack)) {
       std::lock_guard<std::mutex> park_guard(yslot.park_m);
       yslot.wake_pending.store(true, std::memory_order_release);
       yslot.park_cv.notify_all();

@@ -12,8 +12,7 @@
 //
 // Concurrency design (the striped hot path)
 // -----------------------------------------
-// The engine used to serialize every entry point under one global guard.
-// It now shards its mutable state:
+// The engine shards its mutable state:
 //
 //  * lock_owners_       — StripedMap keyed by LockId hash.
 //  * Allowed-set slots  — dense per-StackId slots in an append-only slab,
@@ -25,43 +24,65 @@
 //  * yield set          — a dedicated small lock (yield_m_); releasers skip
 //                         it entirely while no thread is yielding.
 //
-// A yielding thread waits for lock conditions to change (§5.4) in two
-// steps (Park): it first spins for at most kSpinBudget on its slot's atomic
-// wake flag, which a releaser sets under park_m, and only then sleeps on
-// park_cv. The holds that yields wait on mostly end within the spin, so
-// the common yield costs no futex wake-up or context switch; a yield that
-// outlives the spin (EngineStats::yield_sleeps) parks exactly as before,
-// and wakers are the same either way.
+// A yielding thread waits for lock conditions to change (§5.4) in Park: it
+// spins for at most kSpinBudget on its slot's atomic wake flag, which a
+// releaser sets under park_m, and only then sleeps on park_cv (counted in
+// EngineStats::yield_sleeps). Wakers are the same either way.
 //
-// A hot-path operation holds at most one stripe lock at a time. The only
-// paths that need a consistent cross-stripe view take the "stop-the-
-// stripes" epoch — every slot stripe in ascending order: the authoritative
-// signature-instantiation search, signature-cache rebuilds after a history
-// change, and Snapshot().
-//
-// Matching stays off the epoch in the common case: each signature-cache
-// generation groups signature positions into suffix classes (the stacks
-// that match a position at its signature's depth) and keeps one atomic
-// live-tuple counter per class, maintained by tuple add/remove under slot
-// stripe locks with one seq_cst RMW per class the stack belongs to. A
-// request first bumps its own tentative tuple, then reads the counters (the
-// store-buffer litmus guarantees two racing requesters cannot both miss
-// each other). A signature can have an instance only while each of its
-// classes holds as many tuples as the signature has positions in it
-// (distinct threads fill them). When a signature the requester's own stack
-// can occupy passes that test — an instantiation that uses the new edge is
-// plausible — the request runs the *incremental* cover search
-// (TryMatchIncremental): it copies the candidate tuples one stripe lock at a
-// time into private pools, runs the cover search on the copies, and on a
-// match validates the chosen cover after registering its yield.
-// The add-before-scan protocol makes a no-match answer authoritative
-// without validation: if requester R1's scan of R2's stripe missed R2's
-// tentative tuple, then R1's add happened before R1's scan, which happened
-// before R2's add, which happened before R2's scan — so R2's scan sees R1.
-// The stop-the-stripes epoch survives only as the rare slow path: cache
-// rebuilds after history changes, Snapshot(), and fast-path validation
-// churn (bounded retries, then the epoch arbitrates). Its hold time is
+// A hot-path operation holds at most one stripe lock at a time (validation
+// may take yield_m_ under it). Only cache rebuilds (RefreshGen, which
+// publishes a generation) and Snapshot() take the "stop-the-stripes" epoch —
+// every slot stripe in ascending order; no decision does. Its hold time is
 // counted (epoch_hold_ns) and bounded by kEpochHoldBound in debug builds.
+//
+// One matcher decides every request (Decide -> TryMatchIncremental). Each
+// cache generation groups signature positions into suffix classes (the
+// stacks matching a position at its signature's depth) with one atomic
+// live-tuple counter per class, kept by tuple add/remove under the slot's
+// stripe (one seq_cst RMW per class of the stack). A signature can have an
+// instance only while each class holds as many tuples as the signature has
+// positions in it. A request adds its tentative tuple, reads the counters of
+// the signatures its stack can occupy, and when one passes copies the
+// candidate tuples one stripe at a time into private pools and runs the
+// cover search there; on a match it registers its yield, retires its allow
+// edge and validates the cover.
+//
+// Add-before-scan makes a no-match authoritative without validation. If R1's
+// counter read misses R2's seq_cst add, R1's add precedes R2's in the seq_cst
+// order, so R2's reads see R1; if R1's scan of R2's stripe missed R2's tuple,
+// R1's add < R1's scan < R2's add < R2's scan, so R2's scan sees R1. A
+// rebuild between add and decide keeps both: RefreshGen seeds every live
+// slot, the requester's included, into the new counters under the epoch
+// before publishing, and the requester re-collects its candidates against
+// that generation. A live slot whose memberships are not from the pinned
+// generation means a newer one was published: the decision restarts on it,
+// so restarts are bounded by history changes.
+//
+// No lost wake: registration (yield_m_, seq_cst yield_count_) precedes the
+// allow tuple's removal and validation. A cause tuple validation saw present
+// is removed after that check, and its remover's yield_count_ check then
+// sees the registration and wakes the yielder (RetireTuple, or Decide for a
+// matcher retiring its own edge).
+//
+// Tie-break: two requesters matched on each other's allow tuples can both
+// fail validation, each having removed its own tuple first. An absent cause
+// is forgiven when it is the very allow edge its owner retired for a yield
+// registered on a cover naming the requester's tuple, and the owner has a
+// higher ThreadId; only local threads register, so mirrored foreign tuples
+// never qualify. So the lower ThreadId keeps its yield and the higher one
+// fails, re-adds its tuple, unregisters and rescans without the lower's
+// edge: one round. The check runs under the cause's stripe, which the re-add
+// needs, so a peer mid-rollback still looks registered. The kept yield is
+// woken: the keeper's Decide wakes the peer if it parked on the keeper's
+// edge, and the peer, which unregisters only after the keeper's check,
+// re-adds that same edge and then releases, cancels or matches it
+// (RetireTuple / Decide's WakeYieldersOf) or abandons it (Request wakes on
+// kBroken / kTimedOut). A cause that is some other edge of a registered
+// peer (say a hold it has since released) is not forgiven: nothing would
+// wake on it again. A nonblocking requester registers only for its
+// commit step and unregisters before its Decide wake. Any other failed
+// validation means a matched tuple was retired — progress elsewhere — so
+// the rescan needs no retry cap.
 //
 // Lock ordering (outermost first):
 //   sig_mutex_ -> slot stripes (ascending) -> owner stripes (ascending)
@@ -381,18 +402,19 @@ class AvoidanceEngine {
     }
   };
 
-  // Per-thread scratch for both matchers: candidate indexes and tuple pools
-  // keep their capacity between acquisitions, so the steady state copies
-  // tuples without touching the allocator (shortening the requester's own
-  // tuple-live window, which quadratically lowers the odds other requesters
-  // coincide with it, and keeping allocation out of the epoch).
+  // Per-thread matcher scratch: candidate indexes and tuple pools keep their
+  // capacity between acquisitions, so the steady state copies tuples without
+  // touching the allocator (shortening the requester's own tuple-live
+  // window, which quadratically lowers the odds other requesters coincide
+  // with it).
   struct FastScratch {
     // The requester-scoped candidate set: entries of generation
     // `own_version` that the requester's slot can occupy and that were fully
-    // live right after its tentative add. Written by AddTupleLocked.
+    // live right after its tentative add. Written by AddTupleLocked, or by
+    // TryMatchIncremental when it re-bases on a newer generation.
     std::vector<std::size_t> own_cands;
     std::uint64_t own_version = kStaleVersion;
-    std::vector<std::size_t> cands;    // upgrade / epoch candidate set
+    std::vector<std::size_t> cands;    // upgrade candidate set
     std::vector<std::size_t> cand_of;  // entry -> candidate slot; reset after use
     std::vector<std::uint64_t> scan_versions;
     std::vector<std::vector<std::vector<std::pair<StackId, AllowedTuple>>>> pools;
@@ -521,21 +543,13 @@ class AvoidanceEngine {
 
   // The decide step shared by Request and RequestNonblocking, run after the
   // requester's tentative allow tuple is in place: pins the signature-cache
-  // generation (rebuilding it if the history moved), runs the incremental
-  // matcher, and falls back to the epoch (MatchAndRetire) when that cannot
-  // decide. On a match the allow tuple is retired (and, with
-  // yield_on_match, the yield registered), and yielders whose cover named
-  // that tuple are woken to re-decide.
+  // generation (rebuilding it if the history moved) and runs the incremental
+  // matcher, re-pinning and rerunning it when it restarts on a newer
+  // generation. On a match the allow tuple is retired (and, with
+  // yield_on_match, the yield stays registered), and yielders whose cover
+  // named that tuple are woken to re-decide.
   std::optional<MatchResult> Decide(ThreadId thread, LockId lock, AcquireMode mode,
                                     StackId stack, ThreadSlot& slot, bool yield_on_match);
-
-  // Authoritative search under the epoch. On a match in blocking mode
-  // (yield_on_match), atomically retires the requester's allow tuple and
-  // registers the yield; in nonblocking mode only retires the tuple. Like
-  // the incremental matcher it searches only the signatures the requester's
-  // slot can occupy (every signature for an upgrade).
-  std::optional<MatchResult> MatchAndRetire(ThreadId thread, LockId lock, StackId stack,
-                                            ThreadSlot& slot, bool yield_on_match);
 
   // The publisher for `lock`: null unless an IPC arena is wired in and the
   // id carries kGlobalLockBit.
@@ -568,50 +582,50 @@ class AvoidanceEngine {
   // named it so they re-decide now instead of at their timeout.
   void RetireTuple(StackId stack, ThreadId thread, LockId lock, bool held);
 
-  // Copies the live tuples of every position of `cands` into scratch.pools.
-  // With `lock_stripes` (incremental matcher) each stripe is locked in turn
-  // and its version recorded in scratch.scan_versions, and a live slot whose
-  // memberships are not from `gen` makes it return false; the epoch holder
-  // passes false and refreshes such memberships instead.
-  bool FillPools(const SigGen& gen, const std::vector<std::size_t>& cands, FastScratch& scratch,
-                 bool lock_stripes);
+  // Copies the live tuples of every position of `cands` into scratch.pools,
+  // locking each stripe in turn and recording its version in
+  // scratch.scan_versions. Returns false when a live slot's memberships are
+  // not from `gen` (a newer generation was published).
+  bool FillPools(const SigGen& gen, const std::vector<std::size_t>& cands, FastScratch& scratch);
   // Cover search over the filled pools, candidates in order; the first
   // match wins and is written to `result`.
   bool SearchCandidates(const SigGen& gen, const std::vector<std::size_t>& cands,
                         FastScratch& scratch, ThreadId thread, LockId lock, MatchResult* result);
 
-  // Incremental cover search — the common-case replacement for the epoch.
-  enum class FastMatchOutcome {
-    kNoMatch,   // authoritative: no signature instantiation exists
-    kMatched,   // *result holds the cover; tuple retired (+ yield registered)
-    kFallback,  // could not decide locally; caller runs MatchAndRetire
+  enum class MatchOutcome {
+    kNoMatch,  // authoritative: no signature instantiation exists
+    kMatched,  // *result holds the cover; tuple retired (+ yield registered)
+    kRestart,  // a newer generation was published; decide again on it
   };
-  // Takes the requester-scoped candidates its AddTuple recorded (every fully
-  // live signature for an upgrade), scans the live slots one stripe lock at
-  // a time against `gen` (the caller's pinned generation), copies the
-  // candidates' tuples into private pools, and runs the cover search on the
-  // copies. On a match it performs the same retire(+register) sequence as
-  // MatchAndRetire, then validates the chosen cover is still standing;
-  // validation churn retries a bounded number of times before handing the
-  // decision to the epoch. When a rebuild republished between the add and
-  // this call, the recorded candidates are stale: it recomputes them against
-  // `gen` from a fresh class list (without writing the slot's cache) and
-  // answers kNoMatch when none remain, kFallback otherwise. It also falls
-  // back when any live slot's membership cache is stale w.r.t. `gen` — only
-  // the epoch path may recompute memberships.
-  FastMatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, AcquireMode mode,
-                                       StackId stack, ThreadSlot& slot, bool yield_on_match,
-                                       const SigGen& gen, MatchResult* result);
+  // The cover search that decides every request, on `gen` (the caller's
+  // pinned generation): takes the candidates the requester's add recorded
+  // (every fully live signature for an upgrade), re-collected against `gen`
+  // when a rebuild republished since; copies their live tuples one stripe
+  // lock at a time into private pools and searches the copies. A match is
+  // committed and validated (CoverStillStands); a failed validation re-adds
+  // the tuple and rescans.
+  MatchOutcome TryMatchIncremental(ThreadId thread, LockId lock, AcquireMode mode, StackId stack,
+                                   ThreadSlot& slot, bool yield_on_match, const SigGen& gen,
+                                   MatchResult* result);
   // True when every non-requester tuple of `result`'s cover is still in its
-  // slot (one stripe lock at a time). `scan_versions[s]` is the version
-  // slot stripe `s` had during the pool scan: an unchanged stripe is valid
-  // without a presence check.
-  bool CoverStillStands(const MatchResult& result,
+  // slot (one stripe lock at a time) or its owner DefersTo the requester.
+  // `scan_versions[s]` is stripe `s`'s version during the pool scan: an
+  // unchanged stripe is valid without a presence check.
+  bool CoverStillStands(ThreadId thread, LockId lock, StackId stack, const MatchResult& result,
                         const std::vector<std::uint64_t>& scan_versions);
-  // Yield-set bookkeeping shared by both matchers. Register takes yield_m_
-  // then park_m; it must complete before the requester's allow tuple is
-  // removed so a releaser that saw the tuple also sees yield_count_ > 0.
-  void RegisterYield(ThreadId thread, ThreadSlot& slot, const MatchResult& result);
+  // The tie-break (takes yield_m_): `cause` is the allow edge its owner
+  // retired for a yield registered on a cover naming (thread, lock, stack),
+  // and the owner's ThreadId is higher than `thread`.
+  bool DefersTo(const YieldCause& cause, ThreadId thread, LockId lock, StackId stack);
+  // True when `causes` names (thread, lock, stack); an invalid `stack`
+  // matches any.
+  static bool NamesTuple(const std::vector<YieldCause>& causes, ThreadId thread, LockId lock,
+                         StackId stack);
+  // Yield-set bookkeeping for the matcher's commit step. Register takes
+  // yield_m_ then park_m; it must complete before the requester's allow
+  // tuple (`edge`) is removed so a releaser that saw the tuple also sees
+  // yield_count_ > 0.
+  void RegisterYield(const YieldCause& edge, ThreadSlot& slot, const MatchResult& result);
   void UnregisterYield(ThreadId thread, ThreadSlot& slot);
 
   bool CoverPositions(const SigGen::Entry& sig,

@@ -82,17 +82,18 @@ struct EngineStats {
   ShardedCounter depth_fp_yields;
   // Stop-the-stripes accounting (always on): entries into the slot epoch,
   // the total time spent waiting for every stripe lock before each entry,
-  // and the total time the epoch was then held. With the incremental
-  // matcher the epoch is the rare slow path, so epoch_entries staying near
-  // zero under load is itself the signal that the tail fix holds; the
+  // and the total time the epoch was then held. Only cache rebuilds and
+  // snapshots take the epoch, so epoch_entries staying near zero under
+  // load is itself the signal that the tail fix holds; the
   // per-entry hold distribution is on the obs epoch-hold histogram and
   // bounded by AvoidanceEngine::kEpochHoldBound in debug builds.
   ShardedCounter epoch_entries;
   ShardedCounter epoch_stall_ns;
   ShardedCounter epoch_hold_ns;
-  // Cover-search routing: requests decided from per-stripe snapshots without
-  // entering the epoch (fast) vs. requests that fell back to the
-  // stop-the-stripes search (slow), plus fast-path validation retries.
+  // Matcher accounting: cover searches run from per-stripe snapshots
+  // (match_fast_path), decisions restarted on a cache generation published
+  // after their tentative add (match_slow_path; the name predates the
+  // single matcher), and validation rollbacks (match_fast_retries).
   ShardedCounter match_fast_path;
   ShardedCounter match_slow_path;
   ShardedCounter match_fast_retries;

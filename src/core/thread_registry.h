@@ -42,11 +42,13 @@ struct alignas(64) ThreadSlot {
   std::atomic<bool> wake_pending{false};
 
   // --- Avoidance state -------------------------------------------------------
-  // yield_causes/yielding are guarded by the engine's yield-set lock (they
-  // are read by releasers waking yielders); pending_* and held are touched
-  // only by the owning thread; skip_avoidance_once is set by the monitor's
-  // starvation breaker and consumed by the owner, hence atomic.
+  // yield_causes/yield_edge/yielding are guarded by the engine's yield-set
+  // lock (they are read by releasers waking yielders and by the matcher's
+  // tie-break); pending_* and held are touched only by the owning thread;
+  // skip_avoidance_once is set by the monitor's starvation breaker and
+  // consumed by the owner, hence atomic.
   std::vector<YieldCause> yield_causes;  // yieldCause[T]
+  YieldCause yield_edge;                 // the allow edge the yield retired
   bool yielding = false;
   std::atomic<bool> skip_avoidance_once{false};  // set when starvation is broken for T
   StackId pending_stack = kInvalidStackId;  // stack captured at Request time

@@ -41,7 +41,7 @@ enum class HistoKind {
   kAcquireLatency = 0,  // request begin -> acquisition commit
   kYieldDuration = 1,   // park -> unpark
   kEpochHold = 2,       // stop-the-stripes guard held
-  kMatchDuration = 3,   // incremental (fast-path) cover scan
+  kMatchDuration = 3,   // cover scan + validation (trivial rejects skip it)
   kIpcFlush = 4,        // one edge flush into the IPC arena
 };
 inline constexpr int kHistoKindCount = 5;

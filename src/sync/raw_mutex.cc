@@ -11,7 +11,7 @@ bool RawMutex::TryGrantLocked() {
     return false;
   }
   locked_.store(true, std::memory_order_relaxed);
-  owner_ = std::this_thread::get_id();
+  owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   return true;
 }
 
@@ -34,14 +34,9 @@ void RawMutex::Unlock() {
   {
     std::lock_guard<std::mutex> guard(m_);
     locked_.store(false, std::memory_order_relaxed);
-    owner_ = std::thread::id{};
+    owner_.store(std::thread::id{}, std::memory_order_relaxed);
   }
   cv_.notify_one();
-}
-
-bool RawMutex::OwnedByCurrentThread() const {
-  std::lock_guard<std::mutex> guard(m_);
-  return locked_.load(std::memory_order_relaxed) && owner_ == std::this_thread::get_id();
 }
 
 }  // namespace dimmunix

@@ -53,7 +53,10 @@ class RawMutex {
   bool TryLock();
   void Unlock();
 
-  bool OwnedByCurrentThread() const;
+  // Lock-free: only the owner ever finds its own id in owner_.
+  bool OwnedByCurrentThread() const {
+    return owner_.load(std::memory_order_relaxed) == std::this_thread::get_id();
+  }
 
  private:
   bool TryGrantLocked();
@@ -61,7 +64,10 @@ class RawMutex {
   mutable std::mutex m_;
   std::condition_variable cv_;
   std::atomic<bool> locked_{false};  // written under m_; the spin reads it without
-  std::thread::id owner_{};
+  // Written under m_ (set on grant, cleared on unlock). Read relaxed without
+  // m_: a thread sees its own id here only between its own grant and
+  // unlock, since every other write stores another thread's id or none.
+  std::atomic<std::thread::id> owner_{};
 };
 
 }  // namespace dimmunix

@@ -13,7 +13,7 @@ bool RawSharedMutex::TryGrantExclusiveLocked() {
     return false;
   }
   writer_.store(true, std::memory_order_relaxed);
-  writer_id_ = std::this_thread::get_id();
+  writer_id_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   return true;
 }
 
@@ -44,7 +44,7 @@ void RawSharedMutex::UnlockExclusive() {
   {
     std::lock_guard<std::mutex> guard(m_);
     writer_.store(false, std::memory_order_relaxed);
-    writer_id_ = std::thread::id{};
+    writer_id_.store(std::thread::id{}, std::memory_order_relaxed);
   }
   cv_.notify_all();
 }
@@ -74,11 +74,13 @@ void RawSharedMutex::UnlockShared() {
 }
 
 bool RawSharedMutex::ExclusiveOwnedByCurrentThread() const {
-  std::lock_guard<std::mutex> guard(m_);
-  return writer_.load(std::memory_order_relaxed) && writer_id_ == std::this_thread::get_id();
+  return writer_id_.load(std::memory_order_relaxed) == std::this_thread::get_id();
 }
 
 bool RawSharedMutex::SharedOwnedByCurrentThread() const {
+  if (reader_count_.load(std::memory_order_relaxed) == 0) {
+    return false;  // our own read hold would keep the count above zero
+  }
   std::lock_guard<std::mutex> guard(m_);
   return std::find(readers_.begin(), readers_.end(), std::this_thread::get_id()) !=
          readers_.end();

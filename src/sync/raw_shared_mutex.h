@@ -58,10 +58,12 @@ class RawSharedMutex {
 
   mutable std::mutex m_;
   std::condition_variable cv_;
-  // writer_ and reader_count_ are written under m_ only; the spin reads
-  // them without it.
+  // writer_, writer_id_ and reader_count_ are written under m_ only; the
+  // spin and the ownership queries read them without it. A thread sees its
+  // own id in writer_id_ only while it holds the write lock, and a nonzero
+  // reader_count_ while it holds a read lock.
   std::atomic<bool> writer_{false};
-  std::thread::id writer_id_{};
+  std::atomic<std::thread::id> writer_id_{};
   std::vector<std::thread::id> readers_;  // one entry per read hold (recursion)
   std::atomic<std::size_t> reader_count_{0};  // readers_.size()
 };

@@ -1,11 +1,11 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// The incremental cover matcher (the tail fix): steady-state requests must
-// decide from per-stripe snapshots (match_fast_path) without entering the
-// stop-the-stripes epoch; the epoch survives only as the rare slow path
-// (cache rebuilds after history churn, fallback validation). Decisions must
-// be identical on the fast path and on the epoch — the fast path is an
-// optimization, never a semantic fork — so each decision test runs both.
+// The incremental cover matcher decides every request from per-stripe
+// snapshots (match_fast_path) without entering the stop-the-stripes epoch,
+// which only publishes cache rebuilds after history churn. Decisions must be
+// identical whether the cache generation a request decides on is the one its
+// tentative add saw or one rebuilt in between — the re-based decision is the
+// same matcher, never a semantic fork — so each decision test runs both.
 
 #include <gtest/gtest.h>
 
@@ -28,30 +28,35 @@ Config TestConfig() {
   return config;
 }
 
-// How a probed request is decided. kEpoch forces the stop-the-stripes epoch
-// through public API: a no-op Mutate bumps the history version without
-// NotifyHistoryChanged, so the request rebuilds the signature cache after
-// its tentative add, finds the candidates that add recorded stale, falls
-// back (kFallback) and decides with MatchAndRetire — the epoch search is the
-// oracle the incremental matcher must agree with.
-enum class Arm { kFastPath, kEpoch };
+// How a probed request is decided. kRebuild rebuilds the signature cache
+// between the request's tentative add and its decision through public API:
+// a no-op Mutate bumps the history version without NotifyHistoryChanged, so
+// the request rebuilds the cache after its add, finds the candidates that
+// add recorded stale, and restarts on the new generation (match_slow_path).
+// The fast-path arm's decisions must not differ.
+enum class Arm { kFastPath, kRebuild };
 
-const char* ArmName(Arm arm) { return arm == Arm::kEpoch ? "epoch" : "fast path"; }
+const char* ArmName(Arm arm) { return arm == Arm::kRebuild ? "rebuild" : "fast path"; }
 
-// Runs the probed `request` on `arm`; `sig` is any signature index. A kBusy
-// on the epoch arm can only come from MatchAndRetire: asserting that keeps
-// the arm from silently no longer testing the epoch.
+// Runs the probed `request` on `arm`; `sig` is any signature index. On the
+// rebuild arm the request enters the epoch exactly once, to publish the
+// rebuild — never to decide — and a kBusy (which needs a cover search) must
+// have restarted on the new generation: asserting that keeps the arm from
+// silently no longer testing the rebuild.
 template <typename Request>
 RequestDecision DecideOn(Runtime& rt, Arm arm, int sig, Request&& request) {
   if (arm == Arm::kFastPath) {
     return request();
   }
   rt.history().Mutate(sig, [](Signature&) {});
-  const std::uint64_t slow = rt.engine().stats().Snapshot().match_slow_path;
+  const EngineStatsSnapshot before = rt.engine().stats().Snapshot();
   const RequestDecision decision = request();
+  const EngineStatsSnapshot after = rt.engine().stats().Snapshot();
+  EXPECT_EQ(after.epoch_entries, before.epoch_entries + 1)
+      << "the rebuild arm's request took the epoch for more than the rebuild";
   if (decision == RequestDecision::kBusy) {
-    EXPECT_GT(rt.engine().stats().Snapshot().match_slow_path, slow)
-        << "the epoch arm decided without the epoch";
+    EXPECT_GT(after.match_slow_path, before.match_slow_path)
+        << "the rebuild arm decided without restarting on the new generation";
   }
   return decision;
 }
@@ -136,7 +141,8 @@ RequestDecision ProbeSecondEdge(Runtime& rt, LockId lock_a, LockId lock_b,
 }
 
 // One nonblocking request through `path` on `arm`, rolled back if granted,
-// and the cover searches it ran (incremental or epoch).
+// and the cover searches it ran (on the generation of its add or a rebuilt
+// one).
 struct Solo {
   RequestDecision decision;
   std::uint64_t searches;
@@ -204,10 +210,10 @@ TEST(IncrementalMatchTest, SteadyStateStaysOffTheEpoch) {
   EXPECT_EQ(after.match_slow_path, before.match_slow_path);
 }
 
-TEST(IncrementalMatchTest, DecisionsIdenticalOnFastPathAndEpoch) {
+TEST(IncrementalMatchTest, DecisionsIdenticalOnFastPathAndRebuild) {
   // The same probe sequence on both arms: a covered instantiation must be
   // refused, and releasing the cover must make the identical pattern pass.
-  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+  for (const Arm arm : {Arm::kFastPath, Arm::kRebuild}) {
     SCOPED_TRACE(ArmName(arm));
     Runtime rt(TestConfig());
     const int sig = SeedSignature(rt);
@@ -216,11 +222,11 @@ TEST(IncrementalMatchTest, DecisionsIdenticalOnFastPathAndEpoch) {
     // No holder: the B-side edge alone matches nothing.
     EXPECT_EQ(SoloRequest(rt, {kFrameB}, 0x120, arm, sig).decision, RequestDecision::kGo);
 
-    // Same answers, different machinery: the fast path decided without the
-    // epoch, the epoch arm routed every search through it.
+    // Same answers on either generation: the fast path never restarted, the
+    // rebuild arm restarted both refusing searches on the rebuilt cache.
     const EngineStatsSnapshot stats = rt.engine().stats().Snapshot();
+    EXPECT_GT(stats.match_fast_path, 0u);
     if (arm == Arm::kFastPath) {
-      EXPECT_GT(stats.match_fast_path, 0u);
       EXPECT_EQ(stats.match_slow_path, 0u);
     } else {
       EXPECT_GE(stats.match_slow_path, 2u);
@@ -234,8 +240,8 @@ TEST(IncrementalMatchTest, HistoryChurnRebuildsAndRecovers) {
   SeedSignature(rt);
 
   // Decisions stay oracle-correct across repeated cache invalidations, and
-  // the fast path resumes after each rebuild instead of pinning requests on
-  // the slow path.
+  // the fast path resumes after each rebuild instead of restarting every
+  // request.
   for (int round = 0; round < 5; ++round) {
     rt.engine().NotifyHistoryChanged();  // version bump: caches are stale
     EXPECT_EQ(ProbeSecondEdge(rt, 0x200 + 2 * round, 0x201 + 2 * round),
@@ -253,7 +259,7 @@ TEST(IncrementalMatchTest, HistoryChurnRebuildsAndRecovers) {
 // two threads at s. One thread there must not make it look fully live —
 // that used to send every request on a full-history cover search.
 TEST(IncrementalMatchTest, SameSuffixSignatureNeedsTwoThreads) {
-  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+  for (const Arm arm : {Arm::kFastPath, Arm::kRebuild}) {
     SCOPED_TRACE(ArmName(arm));
     Runtime rt(TestConfig());
     const int sig = SeedSignatureOf(rt, {kFrameA}, {kFrameA});
@@ -274,7 +280,7 @@ TEST(IncrementalMatchTest, SameSuffixSignatureNeedsTwoThreads) {
 TEST(IncrementalMatchTest, DepthChangeRecomputesNeed) {
   const Path x{kFrameA, kOuterX};
   const Path y{kFrameA, kOuterY};
-  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+  for (const Arm arm : {Arm::kFastPath, Arm::kRebuild}) {
     SCOPED_TRACE(ArmName(arm));
     Runtime rt(TestConfig());
     const int sig = SeedSignatureOf(rt, x, y);
@@ -299,7 +305,7 @@ TEST(IncrementalMatchTest, DepthChangeRecomputesNeed) {
 // A signature made fully live by two other threads is no business of a
 // requester whose stack it cannot hold: that request must not search.
 TEST(IncrementalMatchTest, LiveSignatureElsewhereAddsNoCoverSearch) {
-  for (const Arm arm : {Arm::kFastPath, Arm::kEpoch}) {
+  for (const Arm arm : {Arm::kFastPath, Arm::kRebuild}) {
     SCOPED_TRACE(ArmName(arm));
     Runtime rt(TestConfig());
     const int sig = SeedSignature(rt);
@@ -346,8 +352,8 @@ TEST(IncrementalMatchTest, LiveSignatureElsewhereAddsNoCoverSearch) {
 
 // An upgrading thread's held shared tuple can serve as the instance's
 // requester edge, so its candidates are not scoped to its new stack: the
-// decision must equal the epoch one.
-TEST(IncrementalMatchTest, UpgradeKeepsEpochDecision) {
+// decision must be the same after a rebuild.
+TEST(IncrementalMatchTest, UpgradeDecisionSurvivesRebuild) {
   const auto upgrade_decision = [](Arm arm) {
     SCOPED_TRACE(ArmName(arm));
     Runtime rt(TestConfig());
@@ -399,9 +405,9 @@ TEST(IncrementalMatchTest, UpgradeKeepsEpochDecision) {
     other.join();
     return decision;
   };
-  const RequestDecision epoch = upgrade_decision(Arm::kEpoch);
-  EXPECT_EQ(epoch, RequestDecision::kBusy);
-  EXPECT_EQ(upgrade_decision(Arm::kFastPath), epoch);
+  const RequestDecision rebuilt = upgrade_decision(Arm::kRebuild);
+  EXPECT_EQ(rebuilt, RequestDecision::kBusy);
+  EXPECT_EQ(upgrade_decision(Arm::kFastPath), rebuilt);
 }
 
 }  // namespace

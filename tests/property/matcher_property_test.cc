@@ -22,7 +22,13 @@
 //     so each position needs two live tuples before the fast reject lets a
 //     request through to the cover search.
 //
-//  4. Sequential oracle over request sequences: each request runs on its
+//  4. Blocking mutual match: two threads at the one stack of a same-suffix
+//     signature repeatedly take fresh locks through the blocking request.
+//     Racing requesters that match each other's allow edges converge by
+//     the ThreadId tie-break: never both granted, no yield rides out its
+//     timeout (no lost wake), and no decision enters the epoch.
+//
+//  5. Sequential oracle over request sequences: each request runs on its
 //     own thread and lock, granted ones stay held, and every decision must
 //     equal an independent cover search over the frames. Two histories
 //     stress the per-class live counters: signatures at depths 1 and 2
@@ -35,6 +41,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <latch>
 #include <random>
 #include <semaphore>
@@ -271,6 +278,64 @@ TEST_P(MatcherProperty, SameSuffixRacingSecondEdgesNeverBothPass) {
   // The holds are taken outside the signature's stack, so neither is
   // refused; then both threads race into the one stack on swapped locks.
   ExpectRacingSecondEdgesNeverBothPass(rt, 0x4000, {kInnerB, kInnerB}, {kInnerA, kInnerA});
+}
+
+TEST_P(MatcherProperty, BlockingMutualMatchConvergesWithoutEpoch) {
+  Runtime rt(SweptConfig());
+  const StackId s = rt.stacks().Intern({FrameFromName(kInnerA), FrameFromName(kOuterSig)});
+  bool added = false;
+  rt.history().Add(SignatureKind::kDeadlock, {s, s}, 1, &added);
+  rt.engine().NotifyHistoryChanged();
+  const EngineStatsSnapshot before = rt.engine().stats().Snapshot();
+
+  // Both threads of a round start every request on a spinning barrier (a
+  // sleeping or yielding one's wake-up skew outlasts a request), so each
+  // pair of requests races: both tentative tuples can stand before either
+  // scan, and then both requesters match each other.
+  constexpr int kRounds = 40;
+  constexpr int kOpsPerRound = 25;
+  std::atomic<int> inside{0};
+  std::atomic<int> overlaps{0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> arrived{0};
+    auto side = [&](int k) {
+      const ThreadId tid = rt.RegisterCurrentThread();
+      ScopedFrame outer(FrameFromName(kOuterWork));
+      ScopedFrame inner(FrameFromName(kInnerA));
+      for (int op = 0; op < kOpsPerRound; ++op) {
+        arrived.fetch_add(1);
+        const auto spin_until = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+        while (arrived.load() < 2 * (op + 1)) {
+          if (std::chrono::steady_clock::now() > spin_until) {
+            std::this_thread::yield();  // a starved host still makes progress
+          }
+        }
+        const LockId lock = 0x6000 + 2 * (round * kOpsPerRound + op) + k;
+        ASSERT_EQ(rt.engine().Request(tid, lock), RequestDecision::kGo);
+        rt.engine().Acquired(tid, lock);
+        if (inside.fetch_add(1) != 0) {
+          overlaps.fetch_add(1);
+        }
+        std::this_thread::yield();  // hold briefly
+        inside.fetch_sub(1);
+        rt.engine().Release(tid, lock);
+      }
+    };
+    std::thread t1([&] { side(0); });
+    std::thread t2([&] { side(1); });
+    t1.join();
+    t2.join();
+  }
+  const EngineStatsSnapshot after = rt.engine().stats().Snapshot();
+
+  // Two threads at s on distinct locks instantiate {s, s}: one always
+  // yields while the other holds.
+  EXPECT_EQ(overlaps.load(), 0) << "both threads at s were granted at once";
+  EXPECT_EQ(after.yield_timeouts, before.yield_timeouts)
+      << "a yield rode out its timeout: a wake was lost";
+  EXPECT_EQ(after.epoch_entries, before.epoch_entries) << "a decision entered the epoch";
+  EXPECT_EQ(after.acquisitions - before.acquisitions,
+            static_cast<std::uint64_t>(2 * kRounds * kOpsPerRound));
 }
 
 // A two-frame call path, innermost frame first (the order interned stacks

@@ -225,7 +225,7 @@ BenchReport RunFig5(const Options& opts) {
     report.samples.push_back(dimx);
     {
       // Matcher-health summary alongside the throughput line: epoch entries
-      // near zero (one per history load) and slow path at zero are the
+      // near zero (one per history load) and restarts at zero are the
       // structural proof the incremental matcher is carrying the decisions.
       const EngineStatsSnapshot es = rt.engine().stats().Snapshot();
       std::printf("  matcher: fast=%llu slow=%llu retries=%llu epochs=%llu hold_us=%llu\n",
