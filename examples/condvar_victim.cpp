@@ -6,7 +6,7 @@
 // fixed window. The integration test runs this under LD_PRELOAD with a
 // control socket and asserts — via `rag` — that NO thread is credited with
 // the mutex while the waiter is parked: without the cond_wait wrapper the
-// engine's owner map keeps the phantom hold for the whole wait.
+// engine keeps the phantom hold for the whole wait.
 //
 // The mutex address is printed as the engine's LockId so the test can
 // target its hold edges precisely.

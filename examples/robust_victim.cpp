@@ -8,7 +8,7 @@
 //   EOWNERDEAD; it repairs the state with pthread_mutex_consistent and
 //   carries on. Under the shim, the corpse's engine-side hold must be
 //   reaped at that moment or the lock stays "held" forever in the
-//   avoidance engine's owner map.
+//   avoidance engine.
 //
 //   phase 2 (cross-process): a forked child SIGKILLs itself while holding
 //   a PTHREAD_MUTEX_ROBUST + PTHREAD_PROCESS_SHARED mutex in a MAP_SHARED

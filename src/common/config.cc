@@ -55,7 +55,6 @@ Config Config::FromEnvironment(Config base) {
   base.yield_timeout =
       std::chrono::milliseconds(EnvLong("DIMMUNIX_YIELD_TIMEOUT_MS", base.yield_timeout.count()));
   base.ignore_yield_decisions = EnvBool("DIMMUNIX_IGNORE_YIELDS", base.ignore_yield_decisions);
-  base.engine_stripes = static_cast<int>(EnvLong("DIMMUNIX_STRIPES", base.engine_stripes));
   base.history_resync_period = std::chrono::milliseconds(
       EnvLong("DIMMUNIX_RESYNC_MS", base.history_resync_period.count()));
   if (const char* ipc = Getenv("DIMMUNIX_IPC"); ipc != nullptr && *ipc != '\0') {

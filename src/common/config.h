@@ -60,9 +60,10 @@ struct Config {
   // Table 1's middle configuration: run full instrumentation + detection but
   // ignore YIELD decisions (never actually pause threads).
   bool ignore_yield_decisions = false;
-  // Number of stripes the engine shards its owner map and Allowed sets
-  // across (rounded up to a power of two). 0 = auto: 2*nproc rounded up to
-  // a power of two. 1 reproduces the pre-striping single-guard engine.
+  // Number of stripes the engine shards its Allowed sets across (rounded up
+  // to a power of two). 0 = auto: 2*nproc rounded up to a power of two. Not
+  // read from the environment: a seam for the stripe sweeps in tests (1 is
+  // the single-guard engine).
   int engine_stripes = 0;
 
   // --- History -------------------------------------------------------------
@@ -132,7 +133,6 @@ struct Config {
   //   DIMMUNIX_HISTORY, DIMMUNIX_TAU_MS, DIMMUNIX_DEPTH, DIMMUNIX_MAX_DEPTH,
   //   DIMMUNIX_IMMUNITY (weak|strong), DIMMUNIX_CALIBRATION (0|1),
   //   DIMMUNIX_YIELD_TIMEOUT_MS, DIMMUNIX_IGNORE_YIELDS (0|1),
-  //   DIMMUNIX_STRIPES (0 = auto),
   //   DIMMUNIX_CONTROL (control-socket path, e.g. /tmp/app.dimmunix.sock),
   //   DIMMUNIX_FLEET (host:port of the attached dimmunixd daemon),
   //   DIMMUNIX_RESYNC_MS (0 = off),

@@ -1,6 +1,7 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
-// Small hashing helpers shared by stack interning and signature matching.
+// Small hashing helpers shared by stack interning, signature matching and
+// the engine's stripe selection.
 
 #ifndef DIMMUNIX_COMMON_HASH_H_
 #define DIMMUNIX_COMMON_HASH_H_
@@ -27,6 +28,15 @@ inline std::uint64_t Fnv1a64(std::string_view s) { return Fnv1a64(s.data(), s.si
 inline std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v) {
   seed ^= v + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4);
   return seed;
+}
+
+// Cheap 64-bit mixer (splitmix64 finalizer) — stripe selection must not
+// depend on low-bit patterns of the ids it hashes.
+inline std::uint64_t MixHash64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace dimmunix

@@ -1,10 +1,10 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // A tiny test-and-test-and-set spin lock used to guard the short critical
-// sections of the avoidance path (Allowed sets, lock-owner map). Dimmunix's
-// avoidance code runs on every lock()/unlock() of the host program, so the
-// guard must be cheap and never itself call into instrumented
-// synchronization (which would recurse into the engine).
+// sections of the avoidance path (Allowed-set stripes, the yield set).
+// Dimmunix's avoidance code runs on every lock()/unlock() of the host
+// program, so the guard must be cheap and never itself call into
+// instrumented synchronization (which would recurse into the engine).
 
 #ifndef DIMMUNIX_COMMON_SPIN_LOCK_H_
 #define DIMMUNIX_COMMON_SPIN_LOCK_H_

@@ -94,8 +94,6 @@ std::string FleetLineFor(const Request& request) {
       return "fleet push " + request.path;
     case CommandKind::kFleetPull:
       return "fleet pull " + request.path;
-    case CommandKind::kFleetExec:
-      return "fleet exec " + request.rest;
     case CommandKind::kFleetAlerts:
       return "fleet alerts";
     case CommandKind::kFleetAlertsReport:
@@ -649,7 +647,6 @@ std::string HelpText() {
       "fleet peers             per-peer gossip statistics\n"
       "fleet push <addr>       sync with <addr> now, send-only\n"
       "fleet pull <addr>       sync with <addr> now, merge-only\n"
-      "fleet exec <cmd...>     run <cmd> on the daemon and every peer\n"
       "fleet alerts            fleet-wide health: per-host alert summaries\n"
       "help                    this text\n";
 }
@@ -723,16 +720,6 @@ std::optional<Request> ParseRequest(std::string_view line, std::string* error) {
         request.path = std::string(tokens[2]);
         return request;
       }
-      if (sub == "exec" && tokens.size() >= 3) {
-        request.kind = CommandKind::kFleetExec;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          if (i > 2) {
-            request.rest += ' ';
-          }
-          request.rest += std::string(tokens[i]);
-        }
-        return request;
-      }
       if (sub == "alerts" && tokens.size() == 2) {
         request.kind = CommandKind::kFleetAlerts;
         return request;
@@ -752,7 +739,7 @@ std::optional<Request> ParseRequest(std::string_view line, std::string* error) {
     }
     SetError(error,
              "usage: fleet status | fleet peers | fleet push <addr> | fleet pull <addr> | "
-             "fleet exec <cmd...> | fleet alerts");
+             "fleet alerts");
     return std::nullopt;
   } else if (name == "metrics") {
     request.kind = CommandKind::kMetrics;
@@ -872,7 +859,6 @@ std::string ExecuteRequest(Runtime& runtime, const Request& request) {
     case CommandKind::kFleetPeers:
     case CommandKind::kFleetPush:
     case CommandKind::kFleetPull:
-    case CommandKind::kFleetExec:
     case CommandKind::kFleetAlerts:
     case CommandKind::kFleetAlertsReport:
       return DoFleetProxy(runtime, request);

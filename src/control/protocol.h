@@ -48,8 +48,6 @@
 //   fleet peers             per-peer gossip statistics
 //   fleet push <addr>       sync with <addr> now, sending our records only
 //   fleet pull <addr>       sync with <addr> now, merging its records only
-//   fleet exec <cmd...>     run <cmd> on the daemon and every peer, replies
-//                           prefixed per host
 //   fleet alerts            fleet-wide health: one line per reporting host
 //                           (which host is churning, and on which rules)
 //   help                    list commands
@@ -111,7 +109,6 @@ enum class CommandKind {
   kFleetPeers,
   kFleetPush,
   kFleetPull,
-  kFleetExec,
   kFleetAlerts,
   kFleetAlertsReport,
   kHelp,
@@ -123,8 +120,7 @@ struct Request {
   int depth = -1;    // set-depth
   std::string path;  // history merge / history export; histogram name (histo);
                      // peer address (fleet push / fleet pull)
-  std::string rest;  // fleet exec: the command to fan out, verbatim;
-                     // fleet alerts-report: the alert record(s)
+  std::string rest;  // fleet alerts-report: the alert record(s)
 };
 
 // Parses one request line (trailing "\r\n" tolerated). On failure returns

@@ -65,10 +65,10 @@ class AcquireOp {
   }
 
   // The underlying acquisition succeeded: emit `acquired`, flip the allow
-  // edge into a hold edge in the owner set. Legal in any decision state —
-  // an uncancellable adapter (the LD_PRELOAD shim) can end up holding the
-  // real lock even after a kBroken grant rollback, and the hold must still
-  // be recorded or the owner set and RAG go blind to it.
+  // edge into a hold edge. Legal in any decision state — an uncancellable
+  // adapter (the LD_PRELOAD shim) can end up holding the real lock even
+  // after a kBroken grant rollback, and the hold must still be recorded or
+  // the engine and RAG go blind to it.
   void Commit();
 
   // The underlying acquisition did not happen (trylock contention,

@@ -3,8 +3,10 @@
 #include "src/core/avoidance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <mutex>
+#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/logging.h"
@@ -15,11 +17,14 @@ namespace {
 
 constexpr std::size_t kNotCandidate = ~std::size_t{0};
 
+// Config::engine_stripes rounded up to a power of two; 0 (the default) means
+// 2*nproc rounded up, so collisions stay rare when threads outnumber cores.
 std::size_t StripeCountFor(const Config& config) {
   if (config.engine_stripes > 0) {
-    return RoundUpPow2(static_cast<std::size_t>(config.engine_stripes));
+    return std::bit_ceil(static_cast<std::size_t>(config.engine_stripes));
   }
-  return DefaultStripeCount();
+  const unsigned cores = std::thread::hardware_concurrency();
+  return std::bit_ceil(2 * static_cast<std::size_t>(cores > 0 ? cores : 4));
 }
 
 // Engine re-entrancy guard. Under LD_PRELOAD interposition, the engine's own
@@ -78,8 +83,8 @@ ThreadSlot::Held* FindHeld(ThreadSlot& slot, LockId lock) {
 // re-requesting in any mode and a shared holder re-requesting shared are
 // reentrant; a shared holder requesting exclusive is an *upgrade* and runs
 // the full protocol — upgrade cycles are exactly the rwlock deadlocks the
-// engine must see. The thread's own holds live in its slot, so this needs
-// no lock-owner stripe round trip.
+// engine must see. The thread's own holds live in its slot, so this takes
+// no lock.
 bool IsReentrant(ThreadSlot& slot, LockId lock, AcquireMode mode) {
   const ThreadSlot::Held* held = FindHeld(slot, lock);
   return held != nullptr && (held->mode == AcquireMode::kExclusive || mode == AcquireMode::kShared);
@@ -109,8 +114,7 @@ AvoidanceEngine::AvoidanceEngine(const Config& config, StackTable* stacks, Histo
       queue_(queue),
       recorder_(recorder),
       slot_stripe_mask_(StripeCountFor(config) - 1),
-      slot_stripes_(std::make_unique<SlotStripe[]>(slot_stripe_mask_ + 1)),
-      lock_owners_(slot_stripe_mask_ + 1) {
+      slot_stripes_(std::make_unique<SlotStripe[]>(slot_stripe_mask_ + 1)) {
   auto initial = std::make_unique<SigGen>();  // version kStaleVersion, no entries
   gen_.store(initial.get(), std::memory_order_release);
   retired_gens_.push_back(std::move(initial));
@@ -988,7 +992,7 @@ void AvoidanceEngine::FlipToHold(ThreadId thread, LockId lock, StackId stack, Ac
   SlotStripe& stripe = StripeOf(stack);
   std::lock_guard<SpinLock> guard(stripe.lock);
   for (auto& tuple : stack_slot->tuples) {
-    if (tuple.thread == thread && tuple.lock == lock) {
+    if (!tuple.held && tuple.thread == thread && tuple.lock == lock) {
       tuple.held = true;
       return;
     }
@@ -996,29 +1000,19 @@ void AvoidanceEngine::FlipToHold(ThreadId thread, LockId lock, StackId stack, Ac
   AddTupleLocked(stripe, stack, stack_slot, AllowedTuple{thread, lock, true, mode});
 }
 
-AvoidanceEngine::DroppedHold AvoidanceEngine::DropHolder(ThreadId thread, LockId lock) {
-  DroppedHold dropped;
-  lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    if (it == owners.end()) {
+void AvoidanceEngine::PromoteHold(ThreadId thread, LockId lock, StackId stack) {
+  StackSlot* stack_slot = SlotFor(stack);
+  SlotStripe& stripe = StripeOf(stack);
+  std::lock_guard<SpinLock> guard(stripe.lock);
+  for (auto& tuple : stack_slot->tuples) {
+    if (tuple.held && tuple.thread == thread && tuple.lock == lock) {
+      tuple.mode = AcquireMode::kExclusive;
+      // A cover that reused the lock as shared no longer stands: make
+      // CoverStillStands re-check this stripe's tuples.
+      ++stripe.version;
       return;
     }
-    LockOwnerInfo& info = it->second;
-    dropped.mode = info.mode;
-    if (LockHolder* holder = info.HolderFor(thread); holder != nullptr) {
-      dropped.stack = holder->stack;
-      if (--holder->count <= 0) {
-        // This thread's hold ends (other shared holders may remain). A
-        // fully-released entry stays in the map as a tombstone — every
-        // reader treats empty holders as "free", and keeping the node (and
-        // the holder vector's capacity) makes the next acquisition
-        // allocation-free.
-        dropped.final_release = true;
-        info.holders.erase(info.holders.begin() + (holder - info.holders.data()));
-      }
-    }
-  });
-  return dropped;
+  }
 }
 
 void AvoidanceEngine::RetireTuple(StackId stack, ThreadId thread, LockId lock, bool held) {
@@ -1041,52 +1035,19 @@ void AvoidanceEngine::Acquired(ThreadId thread, LockId lock, AcquireMode mode) {
   }
   ThreadSlot& slot = registry_.Slot(thread);
   StackId stack = slot.pending_stack;
-  bool already_holding = false;
-  bool upgrade_retire = false;
-  lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    LockHolder* holder = it != owners.end() ? it->second.HolderFor(thread) : nullptr;
-    if (holder != nullptr) {
-      // Reentrant acquisition (exclusive re-lock or recursive shared hold).
-      ++holder->count;
-      stack = holder->stack;
-      already_holding = true;
-      if (mode == AcquireMode::kExclusive && it->second.mode == AcquireMode::kShared) {
-        // A committed upgrade: the raw layer only grants exclusive over our
-        // own shared hold when no other holder exists, so promote the entry
-        // and retire the upgrade request's allow tuple — otherwise the owner
-        // set stays kShared and the tuple lingers as a phantom allow edge.
-        it->second.mode = AcquireMode::kExclusive;
-        upgrade_retire = true;
-      }
-    } else if (it == owners.end()) {
-      // First time this lock is seen: create its (permanent) entry.
-      auto& info = owners[lock];
-      info.mode = mode;
-      info.holders.push_back(LockHolder{thread, stack, 1});
-    } else if (mode == AcquireMode::kExclusive || it->second.holders.empty()) {
-      // Free lock (released entries keep their map node and holder-vector
-      // capacity as a tombstone, so the uncontended acquire/release cycle
-      // never touches the allocator), or an exclusive grant (an exclusive
-      // grant implies every previous holder is gone; replace defensively if
-      // events raced).
-      it->second.mode = mode;
-      it->second.holders.clear();
-      it->second.holders.push_back(LockHolder{thread, stack, 1});
-    } else {
-      // Additional shared holder joins the owner set.
-      it->second.mode = AcquireMode::kShared;
-      it->second.holders.push_back(LockHolder{thread, stack, 1});
-    }
-  });
-  if (already_holding) {
-    if (upgrade_retire && slot.pending_stack != kInvalidStackId) {
-      RemoveTuple(slot.pending_stack, thread, lock, /*held=*/false);
-    }
-    if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr) {
-      ++held->count;
-      if (upgrade_retire) {
-        held->mode = AcquireMode::kExclusive;  // committed upgrade
+  if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr) {
+    // Reentrant acquisition (exclusive re-lock or recursive shared hold).
+    ++held->count;
+    stack = held->stack;
+    if (mode == AcquireMode::kExclusive && held->mode == AcquireMode::kShared) {
+      // A committed upgrade: the raw layer only grants exclusive over our
+      // own shared hold when no other holder exists. The hold and its tuple
+      // become exclusive, and the upgrade request's allow tuple retires —
+      // otherwise it lingers as a phantom allow edge.
+      held->mode = AcquireMode::kExclusive;
+      PromoteHold(thread, lock, stack);
+      if (slot.pending_stack != kInvalidStackId) {
+        RemoveTuple(slot.pending_stack, thread, lock, /*held=*/false);
       }
     }
   } else {
@@ -1132,9 +1093,16 @@ void AvoidanceEngine::Release(ThreadId thread, LockId lock) {
     return;
   }
   ThreadSlot& slot = registry_.Slot(thread);
-  const auto [stack, mode, final_release] = DropHolder(thread, lock);
-  if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr && --held->count <= 0) {
-    slot.held.erase(slot.held.begin() + (held - slot.held.data()));
+  StackId stack = kInvalidStackId;
+  AcquireMode mode = AcquireMode::kExclusive;
+  bool final_release = false;  // the thread's hold ends
+  if (ThreadSlot::Held* held = FindHeld(slot, lock); held != nullptr) {
+    stack = held->stack;
+    mode = held->mode;
+    if (--held->count <= 0) {
+      final_release = true;
+      slot.held.erase(slot.held.begin() + (held - slot.held.data()));
+    }
   }
   if (GlobalEdgePublisher* pub = PublisherFor(lock); pub != nullptr && stack != kInvalidStackId) {
     // Arena rows carry the reentrancy count, so every release of a held
@@ -1282,11 +1250,13 @@ void AvoidanceEngine::FlushAllThreadEvents() {
 
 // --- Foreign-edge mirror (src/ipc bridge thread) -----------------------------
 //
-// These reproduce the tuple/owner-map/event effects of Request-allow,
-// Cancel, Acquired, and Release for a thread that lives in another process.
-// They never touch the ThreadRegistry: foreign ids (>= kForeignThreadBase)
-// have no slot, and every monitor-side path already guards slot access with
-// registry().Contains().
+// These reproduce the tuple and event effects of Request-allow, Cancel,
+// Acquired, and Release for a thread that lives in another process. They
+// never touch the ThreadRegistry: foreign ids (>= kForeignThreadBase) have
+// no slot, and every monitor-side path already guards slot access with
+// registry().Contains(). A foreign hold is counted by its held tuples alone:
+// when fcntl aliasing folds two foreign holds onto one (thread, lock), each
+// is a tuple and each release retires one.
 
 void AvoidanceEngine::MirrorForeignWait(ThreadId thread, LockId lock, StackId stack,
                                         AcquireMode mode) {
@@ -1317,38 +1287,7 @@ void AvoidanceEngine::MirrorForeignHold(ThreadId thread, LockId lock, StackId st
   if (!config_.enabled || entry.nested()) {
     return;
   }
-  bool already_holding = false;
-  lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    LockHolder* holder = it != owners.end() ? it->second.HolderFor(thread) : nullptr;
-    if (holder != nullptr) {
-      ++holder->count;
-      already_holding = true;
-      if (mode == AcquireMode::kExclusive) {
-        it->second.mode = AcquireMode::kExclusive;
-      }
-    } else if (it == owners.end()) {
-      auto& info = owners[lock];
-      info.mode = mode;
-      info.holders.push_back(LockHolder{thread, stack, 1});
-    } else if (it->second.holders.empty()) {
-      // Tombstone of a fully released lock: reuse it as a free entry.
-      it->second.mode = mode;
-      it->second.holders.push_back(LockHolder{thread, stack, 1});
-    } else {
-      // Unlike Acquired(), a foreign edge must NEVER displace existing
-      // holders: this snapshot can be one bridge tick stale, and a local
-      // thread may have legitimately acquired the lock in between —
-      // dropping its holder record would orphan its arena row and leave a
-      // phantom hold fleet-wide. Join the holder set and leave the
-      // recorded mode to the standing holders (each holder is retired
-      // individually by its own release).
-      it->second.holders.push_back(LockHolder{thread, stack, 1});
-    }
-  });
-  if (!already_holding) {
-    FlipToHold(thread, lock, stack, mode);
-  }
+  FlipToHold(thread, lock, stack, mode);
   DIMMUNIX_LOG(kDebug) << "foreign hold: thread " << thread << " lock " << lock << " stack "
                        << stack << " (" << stacks_->Describe(stack) << ")";
   queue_->Push(MakeEvent(EventType::kAcquired, thread, lock, stack, mode));
@@ -1360,13 +1299,11 @@ void AvoidanceEngine::MirrorForeignRelease(ThreadId thread, LockId lock, StackId
   if (!config_.enabled || entry.nested()) {
     return;
   }
-  if (DropHolder(thread, lock).final_release) {
-    // A foreign release changes lock conditions exactly like a local one:
-    // yielders whose causes name this foreign hold can retry now. This is
-    // the wake-up that lets a process resume once the peer it dodged has
-    // finished its critical section.
-    RetireTuple(stack, thread, lock, /*held=*/true);
-  }
+  // A foreign release changes lock conditions exactly like a local one:
+  // yielders whose causes name this foreign hold can retry now. This is the
+  // wake-up that lets a process resume once the peer it dodged has finished
+  // its critical section.
+  RetireTuple(stack, thread, lock, /*held=*/true);
   queue_->Push(MakeEvent(EventType::kRelease, thread, lock, stack, mode));
 }
 
@@ -1406,33 +1343,49 @@ int AvoidanceEngine::Park(ThreadSlot& slot, std::optional<MonoTime> deadline) {
   return 0;
 }
 
-ThreadId AvoidanceEngine::LockOwner(LockId lock) const {
+std::vector<AvoidanceEngine::AllowedTuple> AvoidanceEngine::HeldTuples(LockId lock) const {
   auto* self = const_cast<AvoidanceEngine*>(this);
-  return self->lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    return (it == owners.end() || it->second.mode != AcquireMode::kExclusive ||
-            it->second.holders.empty())
-               ? kInvalidThreadId
-               : it->second.holders.front().thread;
-  });
+  std::vector<AllowedTuple> holds;
+  for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
+    SlotStripe& stripe = self->slot_stripes_[s];
+    std::lock_guard<SpinLock> guard(stripe.lock);
+    for (const StackId id : stripe.live) {
+      const StackSlot* slot = self->stack_slots_.Get(static_cast<std::size_t>(id));
+      for (const AllowedTuple& tuple : slot->tuples) {
+        if (tuple.held && tuple.lock == lock) {
+          holds.push_back(tuple);
+        }
+      }
+    }
+  }
+  return holds;
 }
 
-bool AvoidanceEngine::HoldsLock(ThreadId thread, LockId lock) const {
-  auto* self = const_cast<AvoidanceEngine*>(this);
-  return self->lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    return it != owners.end() && it->second.HolderFor(thread) != nullptr;
-  });
+ThreadId AvoidanceEngine::LockOwner(LockId lock) const {
+  for (const AllowedTuple& hold : HeldTuples(lock)) {
+    if (hold.mode == AcquireMode::kExclusive) {
+      return hold.thread;
+    }
+  }
+  return kInvalidThreadId;
+}
+
+std::optional<AcquireMode> AvoidanceEngine::HeldMode(ThreadId self, LockId lock) {
+  const ThreadSlot::Held* held = FindHeld(registry_.Slot(self), lock);
+  return held != nullptr ? std::optional<AcquireMode>(held->mode) : std::nullopt;
 }
 
 std::size_t AvoidanceEngine::SharedHolderCount(LockId lock) const {
-  auto* self = const_cast<AvoidanceEngine*>(this);
-  return self->lock_owners_.WithStripe(lock, [&](auto& owners) {
-    auto it = owners.find(lock);
-    return (it == owners.end() || it->second.mode != AcquireMode::kShared)
-               ? std::size_t{0}
-               : it->second.holders.size();
-  });
+  std::vector<ThreadId> holders;
+  for (const AllowedTuple& hold : HeldTuples(lock)) {
+    if (hold.mode == AcquireMode::kExclusive) {
+      return 0;
+    }
+    if (std::find(holders.begin(), holders.end(), hold.thread) == holders.end()) {
+      holders.push_back(hold.thread);
+    }
+  }
+  return holders.size();
 }
 
 std::size_t AvoidanceEngine::AllowedCount(StackId id) const {
@@ -1452,22 +1405,22 @@ EngineView AvoidanceEngine::Snapshot() {
   {
     SlotEpochGuard epoch(*this);
     view.signature_generation = CurrentGen()->version;
+    std::vector<LockId> held_locks;
     for (std::size_t s = 0; s <= slot_stripe_mask_; ++s) {
       view.live_stacks += slot_stripes_[s].live.size();
       for (const StackId id : slot_stripes_[s].live) {
-        view.allowed_tuples += stack_slots_.Get(static_cast<std::size_t>(id))->tuples.size();
-      }
-    }
-    StripedMap<LockId, LockOwnerInfo>::AllStripesGuard owners(lock_owners_);
-    for (std::size_t s = 0; s < lock_owners_.stripe_count(); ++s) {
-      // Fully released locks linger as empty tombstone entries; only count
-      // entries that currently have holders.
-      for (const auto& [id, info] : lock_owners_.map_at(s)) {
-        if (!info.holders.empty()) {
-          ++view.tracked_locks;
+        const auto& tuples = stack_slots_.Get(static_cast<std::size_t>(id))->tuples;
+        view.allowed_tuples += tuples.size();
+        for (const AllowedTuple& tuple : tuples) {
+          if (tuple.held) {
+            held_locks.push_back(tuple.lock);
+          }
         }
       }
     }
+    std::sort(held_locks.begin(), held_locks.end());
+    view.tracked_locks = static_cast<std::size_t>(
+        std::unique(held_locks.begin(), held_locks.end()) - held_locks.begin());
   }
   view.yielding_threads = static_cast<std::size_t>(
       std::max(0, yield_count_.load(std::memory_order_seq_cst)));

@@ -2,8 +2,8 @@
 //
 // The avoidance side of Dimmunix (§5.4): the request / acquired / release /
 // cancel methods invoked by the lock instrumentation, the "RAG cache"
-// (per-stack Allowed sets + a lock-owner map), signature-instantiation
-// matching, and the yield parking/waking machinery.
+// (per-stack Allowed sets), signature-instantiation matching, and the yield
+// parking/waking machinery.
 //
 // Everything here runs on the application's critical path; the expensive
 // work (cycle detection, history file I/O, calibration verdicts) is done
@@ -14,11 +14,17 @@
 // -----------------------------------------
 // The engine shards its mutable state:
 //
-//  * lock_owners_       — StripedMap keyed by LockId hash.
 //  * Allowed-set slots  — dense per-StackId slots in an append-only slab,
 //                         each guarded by the slot stripe chosen by StackId
 //                         hash; a per-stripe list tracks slots that
 //                         currently have tuples ("live" slots).
+//  * holds              — one record per hold in each place that reads it:
+//                         the holder's ThreadSlot::held (owner thread only:
+//                         reentrancy, upgrades, releases) and a held tuple
+//                         in its stack's Allowed set (matching, and the
+//                         cold LockOwner/SharedHolderCount scans). A foreign
+//                         hold has only the tuple; two mirrored holds of one
+//                         (thread, lock) are two tuples.
 //  * EngineStats        — sharded counters (src/common/sharded_counter.h).
 //  * stack interning    — lock-free in StackTable.
 //  * yield set          — a dedicated small lock (yield_m_); releasers skip
@@ -85,8 +91,7 @@
 // the rescan needs no retry cap.
 //
 // Lock ordering (outermost first):
-//   sig_mutex_ -> slot stripes (ascending) -> owner stripes (ascending)
-//     -> yield_m_ -> ThreadSlot::park_m
+//   sig_mutex_ -> slot stripes (ascending) -> yield_m_ -> ThreadSlot::park_m
 // with single-stripe holders never taking a second stripe, and the history
 // and stack-table locks used only as leaves.
 
@@ -104,8 +109,8 @@
 #include "src/common/atomic_slab.h"
 #include "src/common/clock.h"
 #include "src/common/config.h"
+#include "src/common/hash.h"
 #include "src/common/spin_lock.h"
-#include "src/common/striped_map.h"
 #include "src/core/global_port.h"
 #include "src/core/stats.h"
 #include "src/core/thread_registry.h"
@@ -128,8 +133,8 @@ enum class RequestDecision {
 // Epoch-consistent summary of the engine's sharded state (dimctl `status`,
 // stress tests). Produced by AvoidanceEngine::Snapshot().
 struct EngineView {
-  std::size_t stripes = 0;          // slot/owner stripe count
-  std::size_t tracked_locks = 0;    // owner-map entries across all stripes
+  std::size_t stripes = 0;          // slot stripe count
+  std::size_t tracked_locks = 0;    // distinct locks among held tuples
   std::size_t live_stacks = 0;      // stack slots with at least one tuple
   std::size_t allowed_tuples = 0;   // total tuples across all Allowed sets
   std::size_t yielding_threads = 0;
@@ -172,9 +177,9 @@ class AvoidanceEngine {
   RequestDecision RequestNonblocking(ThreadId thread, LockId lock,
                                      AcquireMode mode = AcquireMode::kExclusive);
 
-  // The lock was actually acquired / released by `thread`. A lock has one
-  // exclusive owner XOR n shared holders; Release infers the mode the lock
-  // is held in (pthread_rwlock_unlock does not say which side it undoes).
+  // The lock was actually acquired / released by `thread`. Release reads the
+  // mode from the thread's own hold record (pthread_rwlock_unlock does not
+  // say which side it undoes).
   void Acquired(ThreadId thread, LockId lock, AcquireMode mode = AcquireMode::kExclusive);
   void Release(ThreadId thread, LockId lock);
 
@@ -261,15 +266,16 @@ class AvoidanceEngine {
   int last_avoided_signature() const {
     return last_avoided_.load(std::memory_order_relaxed);
   }
-  // Exclusive owner of `lock`, if tracked (kInvalidThreadId when free or
-  // held in shared mode).
+  // Exclusive owner of `lock` (kInvalidThreadId when free or held in shared
+  // mode). Cold: scans the live Allowed sets one stripe at a time.
   ThreadId LockOwner(LockId lock) const;
-  // True when `thread` is among `lock`'s tracked holders (any mode). Used
-  // by adapters for locks with replace-on-relock kernel semantics (flock,
-  // fcntl record locks) to model conversions correctly.
-  bool HoldsLock(ThreadId thread, LockId lock) const;
+  // The mode the calling thread `self` holds `lock` in, if it holds it. Reads
+  // only `self`'s own slot, so only `self` may call it. Used by adapters for
+  // locks with replace-on-relock kernel semantics (flock, fcntl record
+  // locks) to model conversions correctly.
+  std::optional<AcquireMode> HeldMode(ThreadId self, LockId lock);
   // Number of threads currently holding `lock` in shared mode (0 when free
-  // or exclusively owned).
+  // or exclusively owned). Cold, like LockOwner.
   std::size_t SharedHolderCount(LockId lock) const;
   // Number of (thread, lock) tuples currently in stack `id`'s Allowed set.
   std::size_t AllowedCount(StackId id) const;
@@ -308,27 +314,6 @@ class AvoidanceEngine {
     // version at validation time proves the whole stripe's tuple population
     // is exactly what the scan copied, skipping per-tuple presence checks.
     std::uint64_t version = 0;
-  };
-
-  // Mode-aware owner set: one exclusive owner XOR n shared holders, each
-  // holder with its acquisition stack and a reentrancy count.
-  struct LockHolder {
-    ThreadId thread = kInvalidThreadId;
-    StackId stack = kInvalidStackId;
-    int count = 0;
-  };
-  struct LockOwnerInfo {
-    AcquireMode mode = AcquireMode::kExclusive;
-    std::vector<LockHolder> holders;  // size 1 when mode == kExclusive
-
-    LockHolder* HolderFor(ThreadId thread) {
-      for (LockHolder& h : holders) {
-        if (h.thread == thread) {
-          return &h;
-        }
-      }
-      return nullptr;
-    }
   };
 
   // Lock-usage bookkeeping for signature instantiation covers: a lock may be
@@ -566,18 +551,16 @@ class AvoidanceEngine {
   void StageAllow(ThreadSlot& slot, ThreadId thread, LockId lock, StackId stack, AcquireMode mode,
                   GlobalEdgePublisher* pub);
   // Allow edge -> hold edge in the RAG cache, for local and foreign holds
-  // alike: flips (thread, lock)'s standing tuple to held, or adds a held
-  // tuple when none stands.
+  // alike: flips (thread, lock)'s standing allow tuple to held, or adds a
+  // held tuple when none stands (so a second foreign hold of one (thread,
+  // lock) is a second tuple).
   void FlipToHold(ThreadId thread, LockId lock, StackId stack, AcquireMode mode);
-  // Drops one of `thread`'s holds on `lock` from the owner map, for local
-  // and foreign releases alike. `stack` is the holder's (invalid when the
-  // thread held nothing) and `mode` the lock's recorded mode.
-  struct DroppedHold {
-    StackId stack = kInvalidStackId;
-    AcquireMode mode = AcquireMode::kExclusive;
-    bool final_release = false;  // the thread's hold ended
-  };
-  DroppedHold DropHolder(ThreadId thread, LockId lock);
+  // A committed upgrade: (thread, lock)'s held tuple in `stack` now says
+  // kExclusive, so covers stop reusing the lock as if it were shared.
+  void PromoteHold(ThreadId thread, LockId lock, StackId stack);
+  // Every held tuple of `lock`, collected one stripe lock at a time
+  // (LockOwner, SharedHolderCount).
+  std::vector<AllowedTuple> HeldTuples(LockId lock) const;
   // Removes (thread, lock)'s tuple, then wakes the yielders whose cover
   // named it so they re-decide now instead of at their timeout.
   void RetireTuple(StackId stack, ThreadId thread, LockId lock, bool held);
@@ -662,7 +645,6 @@ class AvoidanceEngine {
   std::unique_ptr<SlotStripe[]> slot_stripes_;
   AtomicSlab<StackSlot> stack_slots_;
   SpinLock slot_growth_lock_;  // serializes slab appends
-  StripedMap<LockId, LockOwnerInfo> lock_owners_;
 
   // --- Signature cache generations ------------------------------------------
   SpinLock sig_mutex_;  // serializes RefreshGen

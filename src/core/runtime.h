@@ -80,8 +80,8 @@ class Runtime {
     return AcquireOp(engine_.get(), tid, lock, mode, engine_->RequestNonblocking(tid, lock, mode));
   }
 
-  // The calling thread released `lock`. Mode is inferred from the owner set
-  // (pthread_rwlock_unlock does not say which side it undoes).
+  // The calling thread released `lock`. Mode comes from the thread's hold
+  // record (pthread_rwlock_unlock does not say which side it undoes).
   void EndRelease(LockId lock) { engine_->Release(RegisterCurrentThread(), lock); }
 
   // §8: hot-reload the history after a vendor shipped new signatures ("the

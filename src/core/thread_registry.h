@@ -62,8 +62,8 @@ struct alignas(64) ThreadSlot {
     StackId stack = kInvalidStackId;
     int count = 0;
     // Mode this thread holds the lock in (kShared promoted to kExclusive on
-    // a committed upgrade). Lets Request answer the reentrancy question from
-    // the thread's own slot without a lock-owner stripe round trip.
+    // a committed upgrade). The engine's only per-thread hold record:
+    // reentrancy, upgrades, releases and HeldMode read it without a lock.
     AcquireMode mode = AcquireMode::kExclusive;
   };
   std::vector<Held> held;

@@ -91,7 +91,6 @@ std::string DaemonHelpText() {
       "fleet peers             per-peer gossip statistics\n"
       "fleet push <addr>       sync with <addr> now, send-only\n"
       "fleet pull <addr>       sync with <addr> now, merge-only\n"
-      "fleet exec <cmd...>     run <cmd> here and on every configured peer\n"
       "fleet alerts            per-host health-alert summaries (who is churning)\n"
       "config                  daemon configuration\n"
       "metrics                 counters + propagation histogram, Prometheus text\n"
@@ -788,36 +787,6 @@ std::string Daemon::DoFleetSyncVerb(const std::string& address, bool do_send, bo
   return reply.str();
 }
 
-std::string Daemon::DoFleetExec(const std::string& command) {
-  // A fanned-out command runs verbatim on every host; letting it be another
-  // fan-out (or a binary sync) would recurse through the fleet.
-  std::string_view trimmed = command;
-  while (!trimmed.empty() && trimmed.front() == ' ') {
-    trimmed.remove_prefix(1);
-  }
-  if (trimmed.compare(0, 10, "fleet exec") == 0 || trimmed.compare(0, 10, "fleet sync") == 0) {
-    return Err("refusing to fan out '" + std::string(trimmed.substr(0, 10)) + "'");
-  }
-  std::ostringstream out;
-  out << "ok\n";
-  out << "== self ==\n";
-  out << HandleCommandLine(command);
-  for (const PeerState& peer : peers()) {
-    out << "== " << peer.address << " ==\n";
-    std::string reply;
-    std::string error;
-    if (QueryTcp(peer.address, command, options_.io_timeout, &reply, &error)) {
-      out << reply;
-      if (!reply.empty() && reply.back() != '\n') {
-        out << "\n";
-      }
-    } else {
-      out << Err("unreachable: " + error);
-    }
-  }
-  return out.str();
-}
-
 std::string Daemon::DoMetrics() {
   const DaemonStatsSnapshot s = stats();
   std::string out = "ok\n";
@@ -871,8 +840,6 @@ std::string Daemon::Execute(const control::Request& request) {
       return DoFleetSyncVerb(request.path, /*do_send=*/true, /*do_merge=*/false);
     case control::CommandKind::kFleetPull:
       return DoFleetSyncVerb(request.path, /*do_send=*/false, /*do_merge=*/true);
-    case control::CommandKind::kFleetExec:
-      return DoFleetExec(request.rest);
     case control::CommandKind::kFleetAlerts:
       return DoFleetAlerts();
     case control::CommandKind::kFleetAlertsReport:
@@ -908,8 +875,8 @@ std::string Daemon::Execute(const control::Request& request) {
     case control::CommandKind::kHelp:
       return "ok\n" + DaemonHelpText();
     default:
-      return Err("not supported by dimmunixd (application-runtime command; use fleet exec "
-                 "or dimctl against the process socket)");
+      return Err("not supported by dimmunixd (application-runtime command; use dimctl "
+                 "against the process socket)");
   }
 }
 

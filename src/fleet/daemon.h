@@ -178,7 +178,6 @@ class Daemon {
   std::string DoFleetStatus();
   std::string DoFleetPeers();
   std::string DoFleetSyncVerb(const std::string& address, bool do_send, bool do_merge);
-  std::string DoFleetExec(const std::string& command);
   std::string DoFleetAlerts();
   std::string DoFleetAlertsReport(const std::string& records);
   std::string DoMetrics();

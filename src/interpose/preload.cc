@@ -12,8 +12,8 @@
 // Runtime::BeginAcquire / TryBeginAcquire in the right AcquireMode
 // (exclusive for mutexes and write locks, shared for read locks), calls the
 // real pthread function, and settles the AcquireOp with Commit or Cancel.
-// rwlock_unlock releases by lock identity alone — the engine's owner set
-// knows which side the thread holds. Call stacks come from backtrace()
+// rwlock_unlock releases by lock identity alone — the thread's hold record
+// in the engine knows which side it holds. Call stacks come from backtrace()
 // with module-relative offsets, so signatures survive ASLR and re-runs.
 // The engine's own internal synchronization (std::mutex, condvars) also
 // reaches these symbols, so a thread-local reentrancy guard routes internal
@@ -63,6 +63,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
 
 #include <cerrno>
@@ -244,9 +245,9 @@ dimmunix::LockId RwlockLockId(pthread_rwlock_t* rwlock) {
 
 // A robust mutex returning EOWNERDEAD *is* an acquisition: the previous
 // owner died holding it and the kernel handed it to us with the state
-// flagged inconsistent. Without this, the corpse's hold would sit in the
-// engine's owner map forever and every later waiter on this lock would
-// appear to close a cycle through a dead thread. The corpse is released
+// flagged inconsistent. Without this, the corpse's hold tuple would sit in
+// the engine's Allowed sets forever and every later waiter on this lock
+// would appear to close a cycle through a dead thread. The corpse is released
 // here only when it is a local registry thread — a dead *process*'s holds
 // on a pshared mutex are mirrored as foreign synthetic threads and
 // reclaimed by the IPC arena's liveness sweep, and reaping them twice
@@ -504,8 +505,8 @@ extern "C" int pthread_rwlock_init(pthread_rwlock_t* rwlock, const pthread_rwloc
 // --- pthread_cond_wait / pthread_cond_timedwait ------------------------------
 //
 // The wait atomically releases the mutex and re-acquires it before
-// returning. Without interposition the engine's owner map keeps crediting
-// the waiter with the mutex for the whole wait — a phantom hold edge that
+// returning. Without interposition the engine keeps crediting the waiter
+// with the mutex for the whole wait — a phantom hold edge that
 // corrupts cycle detection and signature instantiation. The adapter models
 // the release up front and records the re-acquisition afterwards;
 // Commit() is legal in every decision state precisely for uncancellable
@@ -594,10 +595,8 @@ extern "C" int flock(int fd, int operation) {
   // kernel lock and the engine must not go blind to it.
   tls_in_hook = true;
   const dimmunix::ThreadId self = runtime->RegisterCurrentThread();
-  const bool converting = runtime->engine().HoldsLock(self, id);
-  const dimmunix::AcquireMode held_mode = runtime->engine().LockOwner(id) == self
-                                              ? dimmunix::AcquireMode::kExclusive
-                                              : dimmunix::AcquireMode::kShared;
+  const std::optional<dimmunix::AcquireMode> held_mode = runtime->engine().HeldMode(self, id);
+  const bool converting = held_mode.has_value();
   if (converting) {
     runtime->EndRelease(id);
   }
@@ -607,7 +606,7 @@ extern "C" int flock(int fd, int operation) {
       return;
     }
     tls_in_hook = true;
-    dimmunix::AcquireOp keep = runtime->TryBeginAcquire(id, held_mode);
+    dimmunix::AcquireOp keep = runtime->TryBeginAcquire(id, *held_mode);
     keep.Commit();  // legal in any decision state: we factually still hold it
     tls_in_hook = false;
   };
@@ -661,10 +660,8 @@ int FcntlLock(dimmunix::Runtime* runtime, int fd, int cmd, struct flock* fl) {
   // original kernel lock.
   tls_in_hook = true;
   const dimmunix::ThreadId self = runtime->RegisterCurrentThread();
-  const bool converting = runtime->engine().HoldsLock(self, id);
-  const dimmunix::AcquireMode held_mode = runtime->engine().LockOwner(id) == self
-                                              ? dimmunix::AcquireMode::kExclusive
-                                              : dimmunix::AcquireMode::kShared;
+  const std::optional<dimmunix::AcquireMode> held_mode = runtime->engine().HeldMode(self, id);
+  const bool converting = held_mode.has_value();
   if (converting) {
     runtime->EndRelease(id);
   }
@@ -675,7 +672,7 @@ int FcntlLock(dimmunix::Runtime* runtime, int fd, int cmd, struct flock* fl) {
       return;
     }
     tls_in_hook = true;
-    dimmunix::AcquireOp keep = runtime->TryBeginAcquire(id, held_mode);
+    dimmunix::AcquireOp keep = runtime->TryBeginAcquire(id, *held_mode);
     keep.Commit();  // we factually still hold the original lock
     tls_in_hook = false;
   };

@@ -29,7 +29,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   setenv("DIMMUNIX_CALIBRATION", "1", 1);
   setenv("DIMMUNIX_YIELD_TIMEOUT_MS", "75", 1);
   setenv("DIMMUNIX_IGNORE_YIELDS", "1", 1);
-  setenv("DIMMUNIX_STRIPES", "16", 1);
   setenv("DIMMUNIX_CONTROL", "/tmp/test.sock", 1);
 
   Config config = Config::FromEnvironment();
@@ -41,7 +40,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   EXPECT_TRUE(config.calibration_enabled);
   EXPECT_EQ(config.yield_timeout.count(), 75);
   EXPECT_TRUE(config.ignore_yield_decisions);
-  EXPECT_EQ(config.engine_stripes, 16);
 
   unsetenv("DIMMUNIX_HISTORY");
   unsetenv("DIMMUNIX_TAU_MS");
@@ -50,7 +48,6 @@ TEST(ConfigTest, EnvironmentOverrides) {
   unsetenv("DIMMUNIX_CALIBRATION");
   unsetenv("DIMMUNIX_YIELD_TIMEOUT_MS");
   unsetenv("DIMMUNIX_IGNORE_YIELDS");
-  unsetenv("DIMMUNIX_STRIPES");
   unsetenv("DIMMUNIX_CONTROL");
 }
 

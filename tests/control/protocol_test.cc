@@ -306,7 +306,7 @@ TEST(ProtocolExecuteTest, HelpListsEveryCommand) {
                           "reload", "set-depth", "rag", "config", "trace start", "trace stop",
                           "trace dump", "metrics", "histo", "alerts", "incidents",
                           "incidents show", "fleet status", "fleet peers", "fleet push",
-                          "fleet pull", "fleet exec", "fleet alerts"}) {
+                          "fleet pull", "fleet alerts"}) {
     EXPECT_NE(reply.find(cmd), std::string::npos) << cmd;
   }
 }
@@ -571,15 +571,6 @@ TEST(ProtocolParseTest, FleetCommands) {
   EXPECT_EQ(pull->kind, CommandKind::kFleetPull);
   EXPECT_EQ(pull->path, "hub:7077");
 
-  // exec keeps the fanned-out command verbatim (normalized whitespace).
-  const auto exec = ParseRequest("fleet exec disable-last", &error);
-  ASSERT_TRUE(exec.has_value());
-  EXPECT_EQ(exec->kind, CommandKind::kFleetExec);
-  EXPECT_EQ(exec->rest, "disable-last");
-  const auto exec2 = ParseRequest("fleet exec  history   merge /tmp/v.hist", &error);
-  ASSERT_TRUE(exec2.has_value());
-  EXPECT_EQ(exec2->rest, "history merge /tmp/v.hist");
-
   EXPECT_EQ(ParseRequest("fleet alerts", &error)->kind, CommandKind::kFleetAlerts);
   // alerts-report is the machine half of alert gossip: records pass verbatim.
   const auto report = ParseRequest("fleet alerts-report h:1;2;8;0;match_churn h:2;0;8;5;-",
@@ -596,13 +587,12 @@ TEST(ProtocolParseTest, FleetCommands) {
   EXPECT_FALSE(ParseRequest("fleet status extra", &error).has_value());
   EXPECT_FALSE(ParseRequest("fleet push", &error).has_value());   // missing addr
   EXPECT_FALSE(ParseRequest("fleet pull a b", &error).has_value());  // extra arg
-  EXPECT_FALSE(ParseRequest("fleet exec", &error).has_value());   // missing command
 }
 
 TEST(ProtocolExecuteTest, FleetVerbsRequireAnAttachedDaemon) {
   Runtime rt(TestConfig());  // no fleet_daemon configured
-  for (const char* line : {"fleet status", "fleet peers", "fleet push h:1", "fleet pull h:1",
-                           "fleet exec status", "fleet alerts"}) {
+  for (const char* line :
+       {"fleet status", "fleet peers", "fleet push h:1", "fleet pull h:1", "fleet alerts"}) {
     const std::string reply = HandleLine(rt, line);
     EXPECT_EQ(reply.rfind("err no fleet daemon attached", 0), 0u) << line << ": " << reply;
     EXPECT_NE(reply.find("DIMMUNIX_FLEET"), std::string::npos) << reply;

@@ -3,7 +3,7 @@
 // The acquisition port's rollback contract: a granted-but-abandoned
 // AcquireOp is rolled back by its destructor, Cancel() retracts shared-mode
 // allow edges, and the whole protocol behaves identically on the
-// single-stripe degenerate engine (DIMMUNIX_STRIPES=1).
+// single-stripe degenerate engine (Config::engine_stripes = 1).
 
 #include "src/core/acquire.h"
 
@@ -104,7 +104,7 @@ TEST(AcquireOpTest, SharedCommitJoinsTheHolderSet) {
   EXPECT_EQ(rt.engine().SharedHolderCount(kLock), 0u);
 }
 
-// --- DIMMUNIX_STRIPES=1: the degenerate single-stripe engine ----------------
+// --- engine_stripes = 1: the degenerate single-stripe engine ----------------
 
 TEST(DegenerateStripingTest, SingleStripeEngineStillAvoids) {
   Config config = QuietConfig();

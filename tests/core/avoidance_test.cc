@@ -493,5 +493,52 @@ TEST(AvoidanceTest, SharedCoverMayReuseALockAcrossHolders) {
   EXPECT_EQ(rt2.engine().stats().yields.load(), 0u);
 }
 
+TEST(AvoidanceTest, CommittedUpgradeMakesItsHoldTupleExclusive) {
+  // The hold tuple is the only cross-thread record of a hold, so a committed
+  // upgrade must re-mode it: a cover may not reuse the lock as if it were
+  // still held shared. Signature {rd1, rd2}: main upgrades L at rd1, then a
+  // shared request of L at rd2 is no instance (it would wait on a writer).
+  Runtime rt(TestConfig());
+  SeedSignature(rt, "rd1", "rd2");
+  const ThreadId main_tid = rt.RegisterCurrentThread();
+  {
+    ScopedFrame frame(FrameFromName("rd1"));
+    ASSERT_EQ(rt.engine().Request(main_tid, 100, AcquireMode::kShared), RequestDecision::kGo);
+    rt.engine().Acquired(main_tid, 100, AcquireMode::kShared);
+    ASSERT_EQ(rt.engine().Request(main_tid, 100, AcquireMode::kExclusive), RequestDecision::kGo);
+    rt.engine().Acquired(main_tid, 100, AcquireMode::kExclusive);
+  }
+  EXPECT_EQ(rt.engine().HeldMode(main_tid, 100), AcquireMode::kExclusive);
+  std::thread other([&] {
+    const ThreadId tid = rt.RegisterCurrentThread();
+    ScopedFrame frame(FrameFromName("rd2"));
+    EXPECT_EQ(rt.engine().RequestNonblocking(tid, 100, AcquireMode::kShared),
+              RequestDecision::kGo);
+    rt.engine().CancelRequest(tid, 100, AcquireMode::kShared);
+  });
+  other.join();
+  EXPECT_EQ(rt.engine().stats().yields.load(), 0u);
+  rt.engine().Release(main_tid, 100);
+  rt.engine().Release(main_tid, 100);
+  EXPECT_FALSE(rt.engine().HeldMode(main_tid, 100).has_value());
+}
+
+TEST(AvoidanceTest, AliasedForeignHoldsNeedOneReleaseEach) {
+  // fcntl range aliasing can fold two foreign holds onto one (thread, lock):
+  // each is its own held tuple, so the lock stays owned until both retire.
+  Runtime rt(TestConfig());
+  const ThreadId foreign = kForeignThreadBase + 7;
+  const StackId stack = rt.stacks().Intern({FrameFromName("foreign_alias")});
+  rt.engine().MirrorForeignHold(foreign, 300, stack, AcquireMode::kExclusive);
+  rt.engine().MirrorForeignHold(foreign, 300, stack, AcquireMode::kExclusive);
+  EXPECT_EQ(rt.engine().LockOwner(300), foreign);
+  EXPECT_EQ(rt.engine().Snapshot().tracked_locks, 1u);
+  rt.engine().MirrorForeignRelease(foreign, 300, stack, AcquireMode::kExclusive);
+  EXPECT_EQ(rt.engine().LockOwner(300), foreign) << "one aliased hold remains";
+  rt.engine().MirrorForeignRelease(foreign, 300, stack, AcquireMode::kExclusive);
+  EXPECT_EQ(rt.engine().LockOwner(300), kInvalidThreadId);
+  EXPECT_EQ(rt.engine().Snapshot().allowed_tuples, 0u);
+}
+
 }  // namespace
 }  // namespace dimmunix

@@ -2,7 +2,7 @@
 //
 // Tests for fleet::Daemon: two-daemon loopback convergence (records, knob
 // epochs, disabled flags), push/pull directionality, the command plane
-// (fleet status / peers / exec), and the allowlist rejection path. Every
+// (fleet status / peers), and the allowlist rejection path. Every
 // daemon here listens on an ephemeral loopback port with its own temp
 // history files.
 
@@ -260,43 +260,6 @@ TEST_F(DaemonTest, FleetStatusAndConfigReplies) {
   const std::string peers = daemon.HandleCommandLine("fleet peers");
   ASSERT_EQ(peers.rfind("ok\npeers=1\n", 0), 0u) << peers;
   EXPECT_NE(peers.find("peer 10.1.2.3:7077 rounds_ok=0"), std::string::npos) << peers;
-}
-
-TEST_F(DaemonTest, FleetExecFansOutToPeers) {
-  const std::string history_a = TempHistory("a");
-  const std::string history_b = TempHistory("b");
-  Seed(history_a, persist::HistoryImage{});
-  Seed(history_b, persist::HistoryImage{});
-
-  Daemon a(ServeOnly(history_a));
-  std::string error;
-  ASSERT_TRUE(a.Start(&error)) << error;
-
-  DaemonOptions options_b = ServeOnly(history_b);
-  options_b.peers.push_back(a.listen_address());
-  Daemon b(options_b);
-  ASSERT_TRUE(b.Start(&error)) << error;
-
-  const std::string reply = b.HandleCommandLine("fleet exec config");
-  ASSERT_EQ(reply.rfind("ok\n", 0), 0u) << reply;
-  EXPECT_NE(reply.find("== self ==\n"), std::string::npos) << reply;
-  EXPECT_NE(reply.find("== " + a.listen_address() + " ==\n"), std::string::npos) << reply;
-  // Both hosts answered with their own listen address.
-  EXPECT_NE(reply.find("listen=" + b.listen_address() + "\n"), std::string::npos) << reply;
-  EXPECT_NE(reply.find("listen=" + a.listen_address() + "\n"), std::string::npos) << reply;
-
-  // Fan-out of a fan-out (or of the binary sync verb) must be refused.
-  EXPECT_EQ(b.HandleCommandLine("fleet exec fleet exec status").rfind("err ", 0), 0u);
-  EXPECT_EQ(b.HandleCommandLine("fleet exec fleet sync").rfind("err ", 0), 0u);
-
-  // An unreachable peer degrades to a per-host error block, not a failure.
-  DaemonOptions options_c = ServeOnly(TempHistory("c"));
-  options_c.peers.push_back("127.0.0.1:1");  // nothing listens there
-  Daemon c(options_c);
-  ASSERT_TRUE(c.Start(&error)) << error;
-  const std::string degraded = c.HandleCommandLine("fleet exec config");
-  ASSERT_EQ(degraded.rfind("ok\n", 0), 0u) << degraded;
-  EXPECT_NE(degraded.find("err unreachable"), std::string::npos) << degraded;
 }
 
 TEST_F(DaemonTest, RuntimeOnlyCommandsAreRefused) {

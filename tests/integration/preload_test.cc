@@ -135,11 +135,11 @@ std::string ControlQuery(const std::string& socket_path, const std::string& line
   return reply;
 }
 
-TEST(PreloadTest, CondWaitReleasesTheMutexInTheOwnerMap) {
+TEST(PreloadTest, CondWaitReleasesTheMutexInTheEngine) {
   // Regression for the pthread_cond_wait interposition: while the victim's
   // waiter thread is parked inside cond_wait, the mutex it entered with is
-  // factually released — the engine's owner map (via `rag` over the control
-  // socket) must NOT credit any thread with it. Without the wrapper the
+  // factually released — the engine (via `rag` over the control socket)
+  // must NOT credit any thread with it. Without the wrapper the
   // phantom hold stays for the whole wait.
   ASSERT_TRUE(std::filesystem::exists(PRELOAD_SO_PATH));
   ASSERT_TRUE(std::filesystem::exists(CONDVAR_VICTIM_PATH));

@@ -239,7 +239,7 @@ TEST(GlobalIdTest, AddressCacheInvalidationAfterRemap) {
 }
 
 TEST(GlobalIdTest, SingleStripeEngineTortureWithCacheChurn) {
-  // A single-stripe engine (DIMMUNIX_STRIPES=1, the pre-striping topology)
+  // A single-stripe engine (engine_stripes = 1, the pre-striping topology)
   // hammered with global-lock cycles whose ids resolve through the
   // per-thread cache on every iteration, while a churn thread keeps
   // invalidating the maps epoch. The property under test: a cache hit or a

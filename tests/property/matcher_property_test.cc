@@ -1,7 +1,7 @@
 // Copyright (c) dimmunix-cpp authors. MIT license.
 //
 // Incremental-matcher properties under stripe-count sweeps and control-plane
-// churn, parameterized over DIMMUNIX_STRIPES ∈ {1, 4, auto}:
+// churn, parameterized over Config::engine_stripes ∈ {1, 4, auto}:
 //
 //  1. Sequential oracle: after concurrent acquire/release traffic racing
 //     disable/re-enable and set-depth churn, the engine's decision for the
@@ -37,8 +37,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -58,20 +56,16 @@ namespace dimmunix {
 namespace {
 
 struct StripeSweep {
-  const char* stripes_env;  // DIMMUNIX_STRIPES value ("0" = auto)
+  int stripes;  // Config::engine_stripes (0 = auto)
 };
 
 class MatcherProperty : public ::testing::TestWithParam<StripeSweep> {
  protected:
-  // The runtime reads the stripe count the same way production does: from
-  // DIMMUNIX_STRIPES via Config::FromEnvironment.
   Config SweptConfig() {
-    ::setenv("DIMMUNIX_STRIPES", GetParam().stripes_env, 1);
-    Config base;
-    base.start_monitor = false;
-    base.default_match_depth = 1;
-    Config config = Config::FromEnvironment(base);
-    ::unsetenv("DIMMUNIX_STRIPES");
+    Config config;
+    config.start_monitor = false;
+    config.default_match_depth = 1;
+    config.engine_stripes = GetParam().stripes;
     return config;
   }
 };
@@ -502,13 +496,11 @@ TEST_P(MatcherProperty, ThreePositionSameSuffixMatchesSequentialOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Stripes, MatcherProperty,
-                         ::testing::Values(StripeSweep{"1"}, StripeSweep{"4"},
-                                           StripeSweep{"0"}),
+                         ::testing::Values(StripeSweep{1}, StripeSweep{4}, StripeSweep{0}),
                          [](const ::testing::TestParamInfo<StripeSweep>& info) {
-                           return std::string("stripes_") +
-                                  (std::string(info.param.stripes_env) == "0"
-                                       ? "auto"
-                                       : info.param.stripes_env);
+                           return "stripes_" + (info.param.stripes == 0
+                                                    ? std::string("auto")
+                                                    : std::to_string(info.param.stripes));
                          });
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // SharedMutex semantics on top of the acquisition port: reader-reader
 // coexistence, writer exclusion, try/timed variants, recursion, upgrade
-// self-deadlock detection, and the engine's mode-aware owner set.
+// self-deadlock detection, and the engine's mode-aware hold records.
 
 #include "src/sync/shared_mutex.h"
 

@@ -118,7 +118,7 @@ TEST(SyncStressTest, CondVarPipelineUnderImmunizedLocks) {
 
 TEST(SyncStressTest, ManyShortLivedMutexes) {
   // Lock identities are addresses; rapid create/destroy cycles must not
-  // confuse the engine's owner map (stale ids are erased on final release).
+  // confuse the engine's hold records (each is erased on final release).
   Config config;
   config.start_monitor = false;
   Runtime rt(config);
